@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 fit failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -46,24 +47,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_band(text: str) -> tuple[float, float]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError("band must be written lo:hi")
-    try:
-        return float(lo), float(hi)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+def _pair(name: str, form: str):
+    """argparse type for a ``first:second`` pair of floats, e.g. a band ``lo:hi``."""
 
+    def parse(text: str) -> tuple[float, float]:
+        first, sep, second = text.partition(":")
+        if not sep:
+            raise argparse.ArgumentTypeError(f"{name} must be written {form}")
+        try:
+            return float(first), float(second)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
 
-def _parse_tone(text: str) -> tuple[float, float]:
-    freq, sep, amp = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError("tone must be written freq_hz:amp_t")
-    try:
-        return float(freq), float(amp)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+    return parse
 
 
 def _write_manifest(out_path, command: str, params: dict, input_paths, seed) -> None:
@@ -90,141 +86,109 @@ def _write_manifest(out_path, command: str, params: dict, input_paths, seed) -> 
     dataio.write_json(os.fspath(out_path) + ".manifest.json", manifest)
 
 
-def _print_result(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
+# Input-file arguments, in the order manifests list them.
+_INPUT_ARGS = ("in_path", "cal", "phase_points", "config")
 
 
-def _sim_config_from_json(raw: dict, seed_override=None) -> SimConfig:
-    known = {
-        "sample_rate_hz",
-        "duration_s",
-        "seed",
-        "f1_hz",
-        "f2_hz",
-        "channel_gains",
-        "tones",
-        "noise",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown simulate config keys: {', '.join(sorted(unknown))}")
-    noise_raw = raw.get("noise", {})
-    noise_known = {
-        "common_asd_t_sqrthz",
-        "gradient_asd_t_sqrthz",
-        "sensor_asd_t_sqrthz",
-        "one_over_f_corner_hz",
-    }
-    unknown = set(noise_raw) - noise_known
-    if unknown:
-        raise ConfigError(f"unknown noise config keys: {', '.join(sorted(unknown))}")
-    sensor = noise_raw.get("sensor_asd_t_sqrthz", 0.0)
-    if isinstance(sensor, list):
-        sensor = tuple(float(s) for s in sensor)
-    noise = NoiseModel(
-        common_asd_t_sqrthz=float(noise_raw.get("common_asd_t_sqrthz", 0.0)),
-        gradient_asd_t_sqrthz=float(noise_raw.get("gradient_asd_t_sqrthz", 0.0)),
-        sensor_asd_t_sqrthz=sensor,
-        one_over_f_corner_hz=float(noise_raw.get("one_over_f_corner_hz", 0.0)),
-    )
-    try:
-        tones = tuple((float(f), float(a), float(p)) for f, a, p in raw.get("tones", ()))
-        gains = tuple(float(g) for g in raw.get("channel_gains", (1.0, 1.0)))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad tones/channel_gains entry: {err}") from None
+def _finish(args, result: dict, params: dict, write=None, seed=None) -> int:
+    """Write ``--out`` and its manifest when given, then print ``result``.
+
+    ``write(path)`` writes the output file; by default ``result`` goes out
+    as JSON.
+    """
+    if args.out:
+        if write is None:
+            dataio.write_json(args.out, result)
+        else:
+            write(args.out)
+        inputs = [getattr(args, name) for name in _INPUT_ARGS if getattr(args, name, None)]
+        _write_manifest(args.out, args.command, params, inputs, seed)
+    print(json.dumps(result, sort_keys=True))
+    return EXIT_OK
+
+
+def _channel_gains(value) -> tuple[float, float]:
+    gains = tuple(float(g) for g in value)
     if len(gains) != 2:
         raise ConfigError("channel_gains must hold exactly two values")
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
-    if "sample_rate_hz" not in raw or "duration_s" not in raw:
-        raise ConfigError("simulate config requires sample_rate_hz and duration_s")
-    return SimConfig(
-        sample_rate_hz=float(raw["sample_rate_hz"]),
-        duration_s=float(raw["duration_s"]),
-        seed=seed,
-        f1_hz=float(raw.get("f1_hz", 49.9)),
-        f2_hz=float(raw.get("f2_hz", 68.8)),
-        channel_gains=gains,
-        tones=tones,
-        noise=noise,
-    )
+    return gains
 
 
-def _coeffs_from_config(path) -> GasCoefficients:
-    raw = dataio.read_json(path)
-    defaults = GasCoefficients()
-    known = {
-        "shift_he_ghz_per_amg",
-        "shift_n2_ghz_per_amg",
-        "broaden_he_ghz_per_amg",
-        "broaden_n2_ghz_per_amg",
-        "reference_freq_hz",
-    }
-    unknown = set(raw) - known
+def _sensor_asd(value):
+    return tuple(float(s) for s in value) if isinstance(value, list) else float(value)
+
+
+# Config values are coerced to float unless their field is listed here.
+_CONVERTERS = {
+    "seed": int,
+    "channel_gains": _channel_gains,
+    "tones": lambda value: tuple((float(f), float(a), float(p)) for f, a, p in value),
+    "noise": lambda value: _from_config(NoiseModel, value, "noise config"),
+    "sensor_asd_t_sqrthz": _sensor_asd,
+}
+
+
+def _from_config(cls, raw, what: str, **overrides):
+    """Dataclass ``cls`` from a JSON object holding some of its fields.
+
+    Missing fields take the dataclass defaults; ``overrides`` replace values.
+
+    Raises
+    ------
+    ConfigError
+        Not a JSON object, an unknown key, a missing required field, or a
+        value that does not coerce to its field type.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = set(raw) - {f.name for f in fields}
     if unknown:
-        raise ConfigError(f"unknown coefficient keys: {', '.join(sorted(unknown))}")
-    return GasCoefficients(
-        shift_he_ghz_per_amg=raw.get("shift_he_ghz_per_amg", defaults.shift_he_ghz_per_amg),
-        shift_n2_ghz_per_amg=raw.get("shift_n2_ghz_per_amg", defaults.shift_n2_ghz_per_amg),
-        broaden_he_ghz_per_amg=raw.get(
-            "broaden_he_ghz_per_amg", defaults.broaden_he_ghz_per_amg
-        ),
-        broaden_n2_ghz_per_amg=raw.get(
-            "broaden_n2_ghz_per_amg", defaults.broaden_n2_ghz_per_amg
-        ),
-        reference_freq_hz=raw.get("reference_freq_hz", defaults.reference_freq_hz),
-    )
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in raw
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{what} requires {', '.join(missing)}")
+    try:
+        values = {key: _CONVERTERS.get(key, float)(value) for key, value in raw.items()}
+        return cls(**{**values, **overrides})
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"bad {what} value: {err}") from None
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _sim_config_from_json(dataio.read_json(args.config), args.seed)
+    seed = {} if args.seed is None else {"seed": args.seed}
+    cfg = _from_config(SimConfig, dataio.read_json(args.config), "simulate config", **seed)
     record = simulate_record(cfg)
-    dataio.write_record_csv(args.out, record)
-    _write_manifest(
-        args.out,
-        "simulate",
+    return _finish(
+        args,
+        {"out": os.fspath(args.out), "n_samples": len(record), "seed": cfg.seed},
         {"config": os.fspath(args.config)},
-        [args.config],
-        cfg.seed,
+        write=lambda path: dataio.write_record_csv(path, record),
+        seed=cfg.seed,
     )
-    _print_result({"out": os.fspath(args.out), "n_samples": len(record), "seed": cfg.seed})
-    return EXIT_OK
 
 
-def _cmd_fit_absorption(args) -> int:
-    sweep = dataio.read_sweep_csv(args.in_path)
-    fit = fit_lorentzian(sweep)
-    result = fit.as_dict()
-    dataio.write_json(args.out, result)
-    _write_manifest(args.out, "fit-absorption", {}, [args.in_path], None)
-    _print_result(result)
-    return EXIT_OK
-
-
-def _cmd_fit_response(args) -> int:
-    sweep = dataio.read_sweep_csv(args.in_path)
-    fit = fit_response_curve(sweep)
-    result = fit.as_dict()
-    dataio.write_json(args.out, result)
-    _write_manifest(args.out, "fit-response", {}, [args.in_path], None)
-    _print_result(result)
-    return EXIT_OK
+def _cmd_fit_sweep(args) -> int:
+    fit = args.fit(dataio.read_sweep_csv(args.in_path))
+    return _finish(args, fit.as_dict(), {})
 
 
 def _cmd_gas_solve(args) -> int:
-    coeffs = _coeffs_from_config(args.config) if args.config else None
+    coeffs = None
+    if args.config:
+        coeffs = _from_config(GasCoefficients, dataio.read_json(args.config), "coefficient config")
     comp = solve_composition(args.shift_ghz, args.width_ghz, coeffs)
-    result = {"he_amagat": comp.he_amagat, "n2_amagat": comp.n2_amagat}
-    if args.out:
-        dataio.write_json(args.out, result)
-        _write_manifest(
-            args.out,
-            "gas-solve",
-            {"shift_ghz": args.shift_ghz, "width_ghz": args.width_ghz},
-            [args.config] if args.config else [],
-            None,
-        )
-    _print_result(result)
-    return EXIT_OK
+    return _finish(
+        args,
+        {"he_amagat": comp.he_amagat, "n2_amagat": comp.n2_amagat},
+        {"shift_ghz": args.shift_ghz, "width_ghz": args.width_ghz},
+    )
 
 
 def _cmd_fit_serf(args) -> int:
@@ -241,22 +205,14 @@ def _cmd_fit_serf(args) -> int:
         "intrinsic_hwhm_hz": fit.intrinsic_hwhm_hz,
         "n_cm3": number_density(fit.t_se_s, args.vbar, args.sigma_se),
     }
-    dataio.write_json(args.out, result)
-    _write_manifest(
-        args.out,
-        "fit-serf",
-        {
-            "nuclear_spin": args.nuclear_spin,
-            "slowing_q": args.slowing_q,
-            "intrinsic": args.intrinsic,
-            "vbar": args.vbar,
-            "sigma_se": args.sigma_se,
-        },
-        [args.in_path],
-        None,
-    )
-    _print_result(result)
-    return EXIT_OK
+    params = {
+        "nuclear_spin": args.nuclear_spin,
+        "slowing_q": args.slowing_q,
+        "intrinsic": args.intrinsic,
+        "vbar": args.vbar,
+        "sigma_se": args.sigma_se,
+    }
+    return _finish(args, result, params)
 
 
 def _load_series(path, channel: str) -> tuple[float, np.ndarray]:
@@ -273,33 +229,23 @@ def _load_series(path, channel: str) -> tuple[float, np.ndarray]:
 def _cmd_psd(args) -> int:
     rate, series = _load_series(args.in_path, args.channel)
     psd = welch_asd(series, rate, args.segment_len, args.overlap)
-    scale = None
+    result = {"out": os.fspath(args.out), "n_averages": psd.n_averages}
     if args.calibrate_tone:
         tone_freq, tone_amp = args.calibrate_tone
         scale = calibrate_tesla(psd, tone_freq, tone_amp)
         psd = psd.scaled(scale)
-    dataio.write_psd_csv(args.out, psd)
-    _write_manifest(
-        args.out,
-        "psd",
-        {
-            "channel": args.channel,
-            "segment_len": args.segment_len,
-            "overlap": args.overlap,
-            "calibrate_tone": list(args.calibrate_tone) if args.calibrate_tone else None,
-        },
-        [args.in_path],
-        None,
-    )
-    result = {"out": os.fspath(args.out), "n_averages": psd.n_averages}
-    if scale is not None:
         result["tesla_scale"] = scale
     if args.band:
         lo, hi = args.band
         result["band_floor_t_sqrthz"] = band_floor(psd, lo, hi)
         result["band"] = [lo, hi]
-    _print_result(result)
-    return EXIT_OK
+    params = {
+        "channel": args.channel,
+        "segment_len": args.segment_len,
+        "overlap": args.overlap,
+        "calibrate_tone": list(args.calibrate_tone) if args.calibrate_tone else None,
+    }
+    return _finish(args, result, params, write=lambda path: dataio.write_psd_csv(path, psd))
 
 
 def _cmd_calibrate(args) -> int:
@@ -319,52 +265,29 @@ def _cmd_calibrate(args) -> int:
         tone_freq_hz=args.tone_freq,
         tone_amp_t=args.tone_amp,
     )
-    dataio.write_calibration_json(args.out, cal)
-    inputs = [args.in_path] + ([args.phase_points] if args.phase_points else [])
-    _write_manifest(
-        args.out,
-        "calibrate",
-        {"tone_freq": args.tone_freq, "tone_amp": args.tone_amp},
-        inputs,
-        None,
-    )
-    _print_result(cal.as_dict())
-    return EXIT_OK
+    return _finish(args, cal.as_dict(), {"tone_freq": args.tone_freq, "tone_amp": args.tone_amp})
 
 
 def _cmd_subtract(args) -> int:
     record = dataio.read_record_csv(args.in_path)
     cal = dataio.read_calibration_json(args.cal)
     diff = subtract(record, cal, phase_correct=args.phase)
-    dataio.write_series_csv(args.out, record.sample_rate_hz, diff)
-    _write_manifest(
-        args.out,
-        "subtract",
+    return _finish(
+        args,
+        {"out": os.fspath(args.out), "rms_t": float(np.sqrt(np.mean(diff**2)))},
         {"phase": args.phase},
-        [args.in_path, args.cal],
-        None,
+        write=lambda path: dataio.write_series_csv(path, record.sample_rate_hz, diff),
     )
-    _print_result({"out": os.fspath(args.out), "rms_t": float(np.sqrt(np.mean(diff**2)))})
-    return EXIT_OK
 
 
 def _cmd_phase_fit(args) -> int:
-    points = dataio.read_phase_points_csv(args.in_path)
-    fit = fit_phase_model(points)
-    result = {"f1_hz": fit.f1_hz, "f2_hz": fit.f2_hz}
-    dataio.write_json(args.out, result)
-    _write_manifest(args.out, "phase-fit", {}, [args.in_path], None)
-    _print_result(result)
-    return EXIT_OK
+    fit = fit_phase_model(dataio.read_phase_points_csv(args.in_path))
+    return _finish(args, {"f1_hz": fit.f1_hz, "f2_hz": fit.f2_hz}, {})
 
 
 def _sample_from_args(args) -> SampleSpec:
     if args.config:
-        raw = dataio.read_json(args.config)
-        try:
-            return SampleSpec(**raw)
-        except TypeError as err:
-            raise InvalidParameterError(f"bad sample config: {err}") from None
+        return _from_config(SampleSpec, dataio.read_json(args.config), "sample config")
     isotopes = load_isotopes()
     if args.isotope not in isotopes:
         raise InvalidParameterError(
@@ -392,17 +315,7 @@ def _cmd_nmr_estimate(args) -> int:
         "field_t": dipole_field(sample),
         "model": DIPOLE_MODEL_NAME,
     }
-    if args.out:
-        dataio.write_json(args.out, result)
-        _write_manifest(
-            args.out,
-            "nmr-estimate",
-            {} if args.config else {"isotope": args.isotope},
-            [args.config] if args.config else [],
-            None,
-        )
-    _print_result(result)
-    return EXIT_OK
+    return _finish(args, result, {} if args.config else {"isotope": args.isotope})
 
 
 def _cmd_demo_paper(args) -> int:
@@ -439,15 +352,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output record CSV (t_s,top_t,bottom_t)")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("fit-absorption", help="fit a Lorentzian to an absorption sweep")
-    p.add_argument("--in", dest="in_path", required=True, help="sweep CSV (freq_hz,value)")
-    p.add_argument("--out", required=True, help="fit result JSON")
-    p.set_defaults(handler=_cmd_fit_absorption)
-
-    p = sub.add_parser("fit-response", help="fit the resonance response curve")
-    p.add_argument("--in", dest="in_path", required=True, help="sweep CSV (freq_hz,value)")
-    p.add_argument("--out", required=True, help="fit result JSON")
-    p.set_defaults(handler=_cmd_fit_response)
+    for name, fit, help_text in (
+        ("fit-absorption", fit_lorentzian, "fit a Lorentzian to an absorption sweep"),
+        ("fit-response", fit_response_curve, "fit the resonance response curve"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--in", dest="in_path", required=True, help="sweep CSV (freq_hz,value)")
+        p.add_argument("--out", required=True, help="fit result JSON")
+        p.set_defaults(handler=_cmd_fit_sweep, fit=fit)
 
     p = sub.add_parser("gas-solve", help="invert line shift/width into gas densities")
     p.add_argument("--shift-ghz", type=float, required=True)
@@ -486,12 +398,12 @@ def build_parser() -> _Parser:
     p.add_argument("--overlap", type=float, default=0.5)
     p.add_argument(
         "--calibrate-tone",
-        type=_parse_tone,
+        type=_pair("tone", "freq_hz:amp_t"),
         default=None,
         metavar="FREQ:AMP",
         help="rescale so the tone at FREQ hz reads AMP tesla",
     )
-    p.add_argument("--band", type=_parse_band, default=None, metavar="LO:HI",
+    p.add_argument("--band", type=_pair("band", "lo:hi"), default=None, metavar="LO:HI",
                    help="report the median floor over this band")
     p.add_argument("--out", required=True, help="output CSV (freq_hz,asd_t_sqrthz)")
     p.set_defaults(handler=_cmd_psd)

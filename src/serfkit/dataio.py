@@ -68,6 +68,7 @@ def _write_csv(path, header, columns) -> None:
 
 
 def _read_csv(path, expected_header, optional_tail=0):
+    # Rows may leave out the optional tail columns but may not run past the header.
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -79,10 +80,16 @@ def _read_csv(path, expected_header, optional_tail=0):
             raise InvalidParameterError(
                 f"{path}: expected header starting with {','.join(required)}, got {','.join(header)}"
             )
+        lo, hi = len(required), len(header)
+        expected = str(lo) if lo == hi else f"{lo} to {hi}"
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
+            if not lo <= len(row) <= hi:
+                raise InvalidParameterError(
+                    f"{path}:{lineno}: expected {expected} columns, got {len(row)}"
+                )
             try:
                 rows.append([float(c) for c in row])
             except ValueError as err:
@@ -90,6 +97,25 @@ def _read_csv(path, expected_header, optional_tail=0):
     if not rows:
         raise InvalidParameterError(f"{path}: no data rows")
     return rows
+
+
+def _sample_rate(path, t: np.ndarray) -> float:
+    """Sample rate of a time column whose steps all lie within 1 % of the median step."""
+    if len(t) < 2:
+        raise InvalidParameterError(f"{path}: need at least 2 samples")
+    if t[-1] <= t[0]:
+        raise InvalidParameterError(f"{path}: time column must be increasing")
+    steps = np.diff(t)
+    median = float(np.median(steps))
+    # A negated "within" test, so that NaN steps count as bad too.
+    bad = np.flatnonzero(~(np.abs(steps - median) <= 0.01 * median))
+    if len(bad):
+        i = bad[0]
+        raise InvalidParameterError(
+            f"{path}: time column not uniformly sampled: step of {steps[i]:g} s "
+            f"after t = {t[i]:g} s, median step {median:g} s"
+        )
+    return (len(t) - 1) / (t[-1] - t[0])
 
 
 def write_sweep_csv(path, sweep: FrequencySweep) -> None:
@@ -111,12 +137,7 @@ def write_record_csv(path, record: TwoChannelRecord) -> None:
 def read_record_csv(path) -> TwoChannelRecord:
     rows = _read_csv(path, ("t_s", "top_t", "bottom_t"))
     data = np.asarray(rows)
-    t = data[:, 0]
-    if len(t) < 2:
-        raise InvalidParameterError(f"{path}: need at least 2 samples")
-    if t[-1] <= t[0]:
-        raise InvalidParameterError(f"{path}: time column must be increasing")
-    rate = (len(t) - 1) / (t[-1] - t[0])
+    rate = _sample_rate(path, data[:, 0])
     return TwoChannelRecord(sample_rate_hz=rate, top_t=data[:, 1], bottom_t=data[:, 2])
 
 
@@ -130,12 +151,7 @@ def read_series_csv(path) -> tuple[float, np.ndarray]:
     """Single-channel series CSV; returns (sample_rate_hz, values)."""
     rows = _read_csv(path, ("t_s", "value_t"))
     data = np.asarray(rows)
-    t = data[:, 0]
-    if len(t) < 2:
-        raise InvalidParameterError(f"{path}: need at least 2 samples")
-    if t[-1] <= t[0]:
-        raise InvalidParameterError(f"{path}: time column must be increasing")
-    return (len(t) - 1) / (t[-1] - t[0]), data[:, 1]
+    return _sample_rate(path, data[:, 0]), data[:, 1]
 
 
 def csv_header(path) -> list[str]:
@@ -167,12 +183,6 @@ def write_phase_points_csv(path, points) -> None:
     freqs = [p.freq_hz for p in points]
     phases = [p.phase_rad for p in points]
     _write_csv(path, ("freq_hz", "phase_rad"), (freqs, phases))
-
-
-def write_linewidth_points_csv(path, points) -> None:
-    res = [p.resonance_hz for p in points]
-    widths = [p.hwhm_hz for p in points]
-    _write_csv(path, ("resonance_hz", "hwhm_hz"), (res, widths))
 
 
 def write_psd_csv(path, psd: PsdEstimate) -> None:

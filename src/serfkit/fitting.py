@@ -156,8 +156,4 @@ def fit_weighted_linear(design: np.ndarray, y: np.ndarray, weights=None):
     beta, *_ = np.linalg.lstsq(aw, yw, rcond=None)
     resid = yw - aw @ beta
     ssr = float(resid @ resid)
-    m, n = design.shape
-    dof = max(m - n, 1)
-    cov = (ssr / dof) * np.linalg.pinv(aw.T @ aw)
-    cov = 0.5 * (cov + cov.T)
-    return beta, cov, float(np.sqrt(ssr / m))
+    return beta, covariance_from_jacobian(aw, ssr), float(np.sqrt(ssr / len(yw)))

@@ -19,19 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    InvalidParameterError,
-    MissingToneError,
-)
+from .errors import DegenerateDataError, InvalidParameterError
 from .fitting import fit_damped_least_squares
+from .noisepsd import _tone_bin, _tone_gate, hann_window
 from .records import TwoChannelRecord
-
-# Tone detection: peak searched within +-2 bins of nominal, amplitude SNR
-# against the median of the +-20 bin neighborhood must exceed 10.
-TONE_SEARCH_BINS = 2
-TONE_NEIGHBORHOOD_BINS = 20
-TONE_MIN_SNR = 10.0
 
 _DEGENERATE_PHASE_RAD = 1e-9
 
@@ -70,6 +61,8 @@ class PhasePoint:
     phase_rad: float
 
     def __post_init__(self):
+        if not math.isfinite(self.freq_hz):
+            raise InvalidParameterError("freq_hz must be finite")
         if not abs(self.phase_rad) < math.pi:
             raise InvalidParameterError("|phase_rad| must be below pi")
 
@@ -159,28 +152,8 @@ def fit_phase_model(points) -> PhaseModelFit:
 
 
 def _windowed_magnitude(series: np.ndarray) -> tuple[np.ndarray, float]:
-    n = len(series)
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window = hann_window(len(series))
     return np.abs(np.fft.rfft(series * window)), float(window.sum())
-
-
-def _locate_tone(mag: np.ndarray, sample_rate_hz: float, n: int, tone_freq_hz: float) -> int:
-    nominal = int(round(tone_freq_hz * n / sample_rate_hz))
-    if not (0 < nominal < len(mag)):
-        raise MissingToneError(f"tone frequency {tone_freq_hz:g} Hz outside spectrum")
-    lo = max(1, nominal - TONE_SEARCH_BINS)
-    hi = min(len(mag), nominal + TONE_SEARCH_BINS + 1)
-    return lo + int(np.argmax(mag[lo:hi]))
-
-
-def _tone_snr(mag: np.ndarray, k: int) -> float:
-    lo = max(0, k - TONE_NEIGHBORHOOD_BINS)
-    hi = min(len(mag), k + TONE_NEIGHBORHOOD_BINS + 1)
-    neighborhood = np.r_[mag[lo : max(lo, k - 3)], mag[k + 4 : hi]]
-    floor = float(np.median(neighborhood)) if len(neighborhood) else 0.0
-    if mag[k] == 0.0:
-        return 0.0
-    return math.inf if floor == 0.0 else float(mag[k] / floor)
 
 
 def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
@@ -197,13 +170,9 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
     """
     mag_top, _ = _windowed_magnitude(record.top_t)
     mag_bottom, _ = _windowed_magnitude(record.bottom_t)
-    k = _locate_tone(mag_top, record.sample_rate_hz, len(record), tone_freq_hz)
+    k = _tone_bin(mag_top, record.sample_rate_hz / len(record), tone_freq_hz)
     for name, mag in (("top", mag_top), ("bottom", mag_bottom)):
-        snr = _tone_snr(mag, k)
-        if snr < TONE_MIN_SNR:
-            raise MissingToneError(
-                f"tone at {tone_freq_hz:g} Hz has SNR {snr:.2f} < {TONE_MIN_SNR:g} in {name} channel"
-            )
+        _tone_gate(mag, k, tone_freq_hz, f" in {name} channel")
     return float(mag_top[k] / mag_bottom[k])
 
 
@@ -211,7 +180,7 @@ def tone_amplitude_in_series(series: np.ndarray, sample_rate_hz: float, tone_fre
     """Hann-window-corrected tone amplitude in a single series (no SNR gate)."""
     series = np.asarray(series, dtype=float)
     mag, window_sum = _windowed_magnitude(series)
-    k = _locate_tone(mag, sample_rate_hz, len(series), tone_freq_hz)
+    k = _tone_bin(mag, sample_rate_hz / len(series), tone_freq_hz)
     return float(2.0 * mag[k] / window_sum)
 
 
@@ -269,10 +238,8 @@ def reduction_ratio(
         Tone not present in the input record.
     """
     mag_top, window_sum = _windowed_magnitude(record.top_t)
-    k = _locate_tone(mag_top, record.sample_rate_hz, len(record), tone_freq_hz)
-    snr = _tone_snr(mag_top, k)
-    if snr < TONE_MIN_SNR:
-        raise MissingToneError(f"tone at {tone_freq_hz:g} Hz has SNR {snr:.2f} in top channel")
+    k = _tone_bin(mag_top, record.sample_rate_hz / len(record), tone_freq_hz)
+    _tone_gate(mag_top, k, tone_freq_hz, " in top channel")
     top_amp = float(2.0 * mag_top[k] / window_sum)
     diff = subtract(record, cal, phase_correct=phase_correct)
     residual_amp = tone_amplitude_in_series(diff, record.sample_rate_hz, tone_freq_hz)

@@ -129,13 +129,17 @@ def lorentzian_jacobian(center_hz, hwhm_hz, amplitude, freqs_hz) -> np.ndarray:
     return jac
 
 
-def _self_initialize(sweep: FrequencySweep) -> np.ndarray:
-    """Derivative-free seed: edge-median baseline, extremum center, half-max width."""
+def _seed(sweep: FrequencySweep, i_peak: int | None = None) -> np.ndarray:
+    """Derivative-free seed: edge-median baseline, peak center, half-max width.
+
+    The peak is the largest deviation from the baseline unless ``i_peak`` is given.
+    """
     freqs, vals = sweep.freqs_hz, sweep.values
     n_edge = max(1, int(len(vals) * _EDGE_FRACTION))
     baseline = float(np.median(np.r_[vals[:n_edge], vals[-n_edge:]]))
     dev = vals - baseline
-    i_peak = int(np.argmax(np.abs(dev)))
+    if i_peak is None:
+        i_peak = int(np.argmax(np.abs(dev)))
     center = float(freqs[i_peak])
     amplitude = float(dev[i_peak])
     above = np.abs(dev) > 0.5 * abs(amplitude)
@@ -208,7 +212,7 @@ def fit_lorentzian(sweep: FrequencySweep, init: LorentzianFit | None = None) -> 
     if init is not None:
         p0 = np.array([init.center_hz, init.hwhm_hz, init.amplitude, init.baseline])
     else:
-        p0 = _self_initialize(sweep)
+        p0 = _seed(sweep)
     return _fit(sweep, p0)
 
 
@@ -228,11 +232,4 @@ def fit_response_curve(sweep: FrequencySweep) -> LorentzianFit:
     if i_max == 0 or i_max == len(vals) - 1:
         raise InsufficientCoverageError("response maximum at a sweep endpoint")
     _check_degenerate(vals)
-    n_edge = max(1, int(len(vals) * _EDGE_FRACTION))
-    baseline = float(np.median(np.r_[vals[:n_edge], vals[-n_edge:]]))
-    amplitude = float(vals[i_max] - baseline)
-    dev = np.abs(vals - baseline) > 0.5 * abs(amplitude)
-    span = float(sweep.freqs_hz[dev].max() - sweep.freqs_hz[dev].min()) if np.any(dev) else 0.0
-    hwhm = 0.5 * span if span > 0 else float(np.median(np.diff(sweep.freqs_hz)))
-    p0 = np.array([float(sweep.freqs_hz[i_max]), hwhm, amplitude, baseline])
-    return _fit(sweep, p0)
+    return _fit(sweep, _seed(sweep, i_max))

@@ -23,8 +23,9 @@ DEFAULT_SEGMENT_LEN = 4096
 DEFAULT_OVERLAP = 0.5
 MIN_SEGMENT_LEN = 64
 
-# Tone handling: integration halfwidth around the peak bin, and the
-# local-median SNR threshold used both for detection and for exclusion.
+# Tone handling, shared with the gradiometer: search and integration
+# halfwidths around the peak bin, and the local-median SNR threshold used
+# both for detection and for exclusion.
 TONE_SEARCH_BINS = 2
 TONE_INTEGRATE_BINS = 3
 TONE_NEIGHBORHOOD_BINS = 20
@@ -123,20 +124,34 @@ def welch_asd(
     )
 
 
-def _locate_tone_bin(psd: PsdEstimate, tone_freq_hz: float) -> int:
-    nominal = int(round(tone_freq_hz / psd.bin_width_hz))
-    if not (0 < nominal < len(psd.freqs_hz)):
-        raise MissingToneError(f"tone frequency {tone_freq_hz:g} Hz outside PSD range")
+def _tone_bin(spectrum: np.ndarray, bin_width_hz: float, tone_freq_hz: float) -> int:
+    """Peak bin within +-2 bins of nominal; nominal lies strictly inside the spectrum."""
+    nominal = int(round(tone_freq_hz / bin_width_hz))
+    if not (0 < nominal < len(spectrum) - 1):
+        raise MissingToneError(f"tone frequency {tone_freq_hz:g} Hz outside (0, Nyquist)")
     lo = max(1, nominal - TONE_SEARCH_BINS)
-    hi = min(len(psd.freqs_hz), nominal + TONE_SEARCH_BINS + 1)
-    return lo + int(np.argmax(psd.asd_t_sqrthz[lo:hi]))
+    hi = min(len(spectrum), nominal + TONE_SEARCH_BINS + 1)
+    return lo + int(np.argmax(spectrum[lo:hi]))
 
 
-def _local_floor(asd: np.ndarray, k: int, exclude: int) -> float:
+def _tone_gate(spectrum: np.ndarray, k: int, tone_freq_hz: float, where: str = "") -> float:
+    """Local floor at tone bin ``k``: median of the +-20-bin neighborhood beyond +-3 bins.
+
+    Raises MissingToneError, with ``where`` ending the message, when the peak
+    is below 10x the floor; a zero floor under a nonzero peak passes.
+    """
     lo = max(0, k - TONE_NEIGHBORHOOD_BINS)
-    hi = min(len(asd), k + TONE_NEIGHBORHOOD_BINS + 1)
-    neighborhood = np.r_[asd[lo : max(lo, k - exclude)], asd[k + exclude + 1 : hi]]
-    return float(np.median(neighborhood)) if len(neighborhood) else 0.0
+    hi = min(len(spectrum), k + TONE_NEIGHBORHOOD_BINS + 1)
+    skip = TONE_INTEGRATE_BINS
+    neighborhood = np.r_[spectrum[lo : max(lo, k - skip)], spectrum[k + skip + 1 : hi]]
+    floor = float(np.median(neighborhood)) if len(neighborhood) else 0.0
+    peak = spectrum[k]
+    if peak == 0.0 or (floor > 0.0 and peak / floor < TONE_MIN_SNR):
+        snr = 0.0 if peak == 0.0 else peak / floor
+        raise MissingToneError(
+            f"tone at {tone_freq_hz:g} Hz has SNR {snr:.2f} < {TONE_MIN_SNR:g}{where}"
+        )
+    return floor
 
 
 def tone_amplitude(psd: PsdEstimate, tone_freq_hz: float) -> float:
@@ -151,13 +166,8 @@ def tone_amplitude(psd: PsdEstimate, tone_freq_hz: float) -> float:
         Peak below 10x the local median ASD.
     """
     asd = psd.asd_t_sqrthz
-    k = _locate_tone_bin(psd, tone_freq_hz)
-    floor = _local_floor(asd, k, TONE_INTEGRATE_BINS)
-    if asd[k] == 0.0 or (floor > 0.0 and asd[k] / floor < TONE_MIN_SNR):
-        snr = 0.0 if asd[k] == 0.0 else asd[k] / floor
-        raise MissingToneError(
-            f"tone at {tone_freq_hz:g} Hz has SNR {snr:.2f} < {TONE_MIN_SNR:g}"
-        )
+    k = _tone_bin(asd, psd.bin_width_hz, tone_freq_hz)
+    floor = _tone_gate(asd, k, tone_freq_hz)
     lo = max(0, k - TONE_INTEGRATE_BINS)
     hi = min(len(asd), k + TONE_INTEGRATE_BINS + 1)
     power = float(np.sum(np.clip(asd[lo:hi] ** 2 - floor**2, 0.0, None))) * psd.bin_width_hz

@@ -296,3 +296,70 @@ def test_every_output_has_manifest(tmp_path):
     assert manifest["inputs"][0]["sha256"] == dataio.sha256_file(cfg)
     assert manifest["tool_version"]
     assert manifest["seed"] == 11
+
+
+def test_ragged_record_row_exits_2(capsys, tmp_path):
+    rec_path = tmp_path / "rec.csv"
+    rows = [f"{i / FS},{1e-12 * math.sin(i)},{1e-12 * math.cos(i)}" for i in range(8192)]
+    rows[100] = "0.1,1e-12"
+    rec_path.write_text("t_s,top_t,bottom_t\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "psd.csv"
+    assert main(["psd", "--in", str(rec_path), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert ":102: expected 3 columns, got 2" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+GAS_SOLVE = ["gas-solve", "--shift-ghz", "1.916", "--width-ghz", "31.878"]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        (["simulate"], {"sample_rate_hz": "abc", "duration_s": 10.0}),
+        (["simulate"], {"sample_rate_hz": FS, "duration_s": 10.0, "seed": "s"}),
+        (["simulate"], {"sample_rate_hz": FS, "duration_s": 10.0, "noise": [1, 2]}),
+        (["simulate"], [FS, 10.0]),
+        (GAS_SOLVE, {"shift_he_ghz_per_amg": "x"}),
+    ],
+)
+def test_bad_config_value_exits_2(capsys, tmp_path, command, config):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "config" in err
+    assert not out.exists()
+
+
+def test_phase_fit_nan_frequency_exits_2(capsys, tmp_path):
+    freqs = np.arange(5.0, 201.0, 5.0)
+    phases = phase_difference(freqs, 49.9, 68.8)
+    lines = ["freq_hz,phase_rad"] + [f"{f},{p}" for f, p in zip(freqs, phases)]
+    lines[3] = "nan,0.01"
+    (tmp_path / "phase.csv").write_text("\n".join(lines) + "\n")
+    assert main(["phase-fit", "--in", str(tmp_path / "phase.csv"),
+                 "--out", str(tmp_path / "phase.json")]) == EXIT_VALIDATION
+    assert "freq_hz must be finite" in capsys.readouterr().err
+
+
+def test_calibrate_timestamp_gap_exits_2(capsys, tmp_path):
+    cfg = write_sim_config(tmp_path / "sim.json", duration=60.0)
+    rec_path = tmp_path / "rec.csv"
+    main(["simulate", "--config", str(cfg), "--out", str(rec_path)])
+    # Shift the second half of the record 5 s later: a gap at t = 30 s.
+    lines = rec_path.read_text().splitlines()
+    for i in range(30001, len(lines)):
+        t, top, bottom = lines[i].split(",")
+        lines[i] = f"{float(t) + 5.0!r},{top},{bottom}"
+    rec_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "cal.json"
+    assert main(["calibrate", "--in", str(rec_path), "--tone-freq", "10",
+                 "--f1", "49.9", "--f2", "68.8", "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "not uniformly sampled: step of 5.001 s after t = 29.999 s" in err
+    assert "SNR" not in err
+    assert not out.exists()

@@ -110,3 +110,30 @@ def test_atomic_write_failure_leaves_no_partial(tmp_path):
         dataio.write_json(path, {"bad": Boom()})
     assert not path.exists()
     assert os.listdir(tmp_path) == []
+
+
+def test_record_with_time_gap_names_the_gap(tmp_path):
+    path = tmp_path / "rec.csv"
+    t = np.arange(1000) / 100.0
+    t[600:] += 5.0
+    rows = [f"{ti},1e-12,2e-12" for ti in t]
+    path.write_text("t_s,top_t,bottom_t\n" + "\n".join(rows) + "\n")
+    with pytest.raises(InvalidParameterError, match="step of 5.01 s after t = 5.99 s"):
+        dataio.read_record_csv(path)
+
+
+def test_series_with_jittered_time_rejected(tmp_path):
+    path = tmp_path / "series.csv"
+    t = np.arange(100) / 100.0
+    t[40] += 0.0005
+    rows = [f"{ti},1e-12" for ti in t]
+    path.write_text("t_s,value_t\n" + "\n".join(rows) + "\n")
+    with pytest.raises(InvalidParameterError, match="after t = 0.39 s"):
+        dataio.read_series_csv(path)
+
+
+def test_linewidth_row_past_optional_column_rejected(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("resonance_hz,hwhm_hz,weight\n20,11,1.0\n40,12,0.5,7\n")
+    with pytest.raises(InvalidParameterError, match=":3: expected 2 to 3 columns, got 4"):
+        dataio.read_linewidth_points_csv(path)

@@ -23,7 +23,7 @@ from serfkit.gradiometer import (
     subtract,
     tone_amplitude_in_series,
 )
-from serfkit.noisepsd import welch_asd
+from serfkit.noisepsd import calibrate_tesla, welch_asd
 from serfkit.records import TwoChannelRecord
 from serfkit.simulator import NoiseModel, SimConfig, simulate_record
 
@@ -113,6 +113,11 @@ class TestFitPhaseModel:
         with pytest.raises(InvalidParameterError):
             PhasePoint(10.0, 3.5)
 
+    @pytest.mark.parametrize("freq", [math.nan, math.inf])
+    def test_phase_point_frequency_must_be_finite(self, freq):
+        with pytest.raises(InvalidParameterError, match="freq_hz"):
+            PhasePoint(freq, 0.01)
+
 
 class TestAmplitudeRatio:
     def test_identical_channels(self):
@@ -137,6 +142,25 @@ class TestAmplitudeRatio:
         rec = TwoChannelRecord(FS, rng.normal(0, 1, 8192), rng.normal(0, 1, 8192))
         with pytest.raises(MissingToneError):
             amplitude_ratio(rec, 10.0)
+
+    def test_tone_in_top_channel_only_names_bottom(self):
+        rng = np.random.default_rng(1)
+        rec = tone_record(noise=1e-15)
+        rec = TwoChannelRecord(FS, rec.top_t, rng.normal(0, 1e-15, len(rec)))
+        with pytest.raises(MissingToneError, match="bottom channel"):
+            amplitude_ratio(rec, 10.0)
+
+    @pytest.mark.parametrize("freq", [FS / 2, 0.6 * FS])
+    def test_tone_at_or_above_nyquist_rejected(self, freq):
+        # A strong tone at Nyquist: alternating samples.
+        noise = np.random.default_rng(2).normal(0, 1e-15, 8192)
+        x = 16e-12 * np.cos(np.pi * np.arange(8192)) + noise
+        with pytest.raises(MissingToneError, match="Nyquist"):
+            amplitude_ratio(TwoChannelRecord(FS, x, x.copy()), freq)
+        with pytest.raises(MissingToneError, match="Nyquist"):
+            tone_amplitude_in_series(x, FS, freq)
+        with pytest.raises(MissingToneError, match="Nyquist"):
+            calibrate_tesla(welch_asd(x, FS), freq, 16e-12)
 
 
 class TestSubtract:
