@@ -1,7 +1,11 @@
 """CSV/JSON readers and writers with atomic output.
 
 Series go to CSV, parameters and results to JSON. Floats are written with 17
-significant digits so every value round-trips exactly.
+significant digits (``%.17g``) so every value round-trips exactly.
+
+A CSV body is parsed by ``np.loadtxt`` in one call. Any input it rejects, or
+parses to the wrong number of columns, goes through the row parser, which
+accepts what Python's ``float`` accepts and reports errors as ``path:line``.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -20,13 +25,6 @@ from .lineshape import FrequencySweep
 from .noisepsd import PsdEstimate
 from .records import TwoChannelRecord
 from .serf import LinewidthPoint
-
-FLOAT_FMT = ".17g"
-
-
-def _fmt(x) -> str:
-    return format(float(x), FLOAT_FMT)
-
 
 def atomic_write_text(path, text: str) -> None:
     """Write via a same-directory temp file and rename; no partial outputs."""
@@ -61,28 +59,46 @@ def sha256_file(path) -> str:
 
 
 def _write_csv(path, header, columns) -> None:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    body = (row * len(table)) % tuple(table.ravel().tolist())
+    atomic_write_text(path, ",".join(header) + "\n" + body)
 
 
 def _read_csv(path, expected_header, optional_tail=0):
-    # Rows may leave out the optional tail columns but may not run past the header.
+    """Data rows as a 2-D float array, or as float lists from the row parser.
+
+    Rows may leave out the optional tail columns but may not run past the header.
+    """
+    header = csv_header(path)
+    required = list(expected_header[: len(expected_header) - optional_tail])
+    if header[: len(required)] != required:
+        raise InvalidParameterError(
+            f"{path}: expected header starting with {','.join(required)}, got {','.join(header)}"
+        )
+    try:
+        with warnings.catch_warnings():
+            # A body without rows is reported by the row parser instead.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(
+                path, delimiter=",", skiprows=1, comments=None, dtype=float,
+                ndmin=2, encoding="utf-8",
+            )
+    except ValueError:
+        pass  # The row parser accepts the input or names its bad line.
+    else:
+        if data.shape[0] and data.shape[1] == len(header):
+            return data
+    return _parse_rows(path, len(required), len(header))
+
+
+def _parse_rows(path, lo, hi):
+    """Row-by-row parse with ``path:line`` errors; rows hold lo to hi fields."""
+    expected = str(lo) if lo == hi else f"{lo} to {hi}"
+    rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InvalidParameterError(f"{path}: empty file") from None
-        required = list(expected_header[: len(expected_header) - optional_tail])
-        if header[: len(required)] != required:
-            raise InvalidParameterError(
-                f"{path}: expected header starting with {','.join(required)}, got {','.join(header)}"
-            )
-        lo, hi = len(required), len(header)
-        expected = str(lo) if lo == hi else f"{lo} to {hi}"
-        rows = []
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -97,6 +113,12 @@ def _read_csv(path, expected_header, optional_tail=0):
     if not rows:
         raise InvalidParameterError(f"{path}: no data rows")
     return rows
+
+
+def _read_rows(path, expected_header, optional_tail=0) -> list[list[float]]:
+    """``_read_csv`` as lists of Python floats, for the point readers."""
+    rows = _read_csv(path, expected_header, optional_tail)
+    return rows.tolist() if isinstance(rows, np.ndarray) else rows
 
 
 def _sample_rate(path, t: np.ndarray) -> float:
@@ -163,7 +185,7 @@ def csv_header(path) -> list[str]:
 
 
 def read_linewidth_points_csv(path) -> list[LinewidthPoint]:
-    rows = _read_csv(path, ("resonance_hz", "hwhm_hz", "weight"), optional_tail=1)
+    rows = _read_rows(path, ("resonance_hz", "hwhm_hz", "weight"), optional_tail=1)
     return [
         LinewidthPoint(
             resonance_hz=r[0],
@@ -175,7 +197,7 @@ def read_linewidth_points_csv(path) -> list[LinewidthPoint]:
 
 
 def read_phase_points_csv(path) -> list[PhasePoint]:
-    rows = _read_csv(path, ("freq_hz", "phase_rad"))
+    rows = _read_rows(path, ("freq_hz", "phase_rad"))
     return [PhasePoint(freq_hz=r[0], phase_rad=r[1]) for r in rows]
 
 

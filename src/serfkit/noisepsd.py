@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     InsufficientBandError,
@@ -207,12 +208,19 @@ def band_floor(psd: PsdEstimate, f_lo_hz: float, f_hi_hz: float) -> float:
         raise InsufficientBandError(
             f"band {f_lo_hz:g}-{f_hi_hz:g} Hz spans {len(sel)} bins, need at least 5"
         )
-    keep = []
-    for k in sel:
-        lo = max(0, k - TONE_NEIGHBORHOOD_BINS)
-        hi = min(len(asd), k + TONE_NEIGHBORHOOD_BINS + 1)
-        if not asd[k] > TONE_MIN_SNR * np.median(asd[lo:hi]):
-            keep.append(k)
-    if not keep:
+    w = TONE_NEIGHBORHOOD_BINS
+    local = np.empty(len(sel))
+    # Bins whose full +-w window fits take one batched median (the window
+    # length is odd, so each median is one element, exactly as per bin).
+    inner = (sel >= w) & (sel < len(asd) - w)
+    if inner.any():
+        windows = sliding_window_view(asd, 2 * w + 1)[sel[inner] - w]
+        local[inner] = np.median(windows, axis=1, overwrite_input=True)
+    # Bins near either end of the spectrum keep their truncated window.
+    for i in np.flatnonzero(~inner):
+        k = sel[i]
+        local[i] = np.median(asd[max(0, k - w) : k + w + 1])
+    keep = sel[~(asd[sel] > TONE_MIN_SNR * local)]
+    if not len(keep):
         raise InsufficientBandError("every bin in the band is tone-flagged")
     return float(np.median(asd[keep]))

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import serfkit
 from serfkit import dataio
 from serfkit.cli import EXIT_FIT_FAILURE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from serfkit.gradiometer import phase_difference
@@ -309,6 +314,32 @@ def test_ragged_record_row_exits_2(capsys, tmp_path):
     assert ":102: expected 3 columns, got 2" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_header_only_record_exits_2_with_one_error_line(tmp_path):
+    # A separate interpreter, so that any warning would reach stderr as users see it.
+    rec_path = tmp_path / "rec.csv"
+    rec_path.write_text("t_s,top_t,bottom_t\n")
+    out = tmp_path / "psd.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(serfkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "serfkit", "psd", "--in", str(rec_path), "--out", str(out)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.splitlines() == [f"error: {rec_path}: no data rows"]
+    assert not out.exists()
+
+
+def test_whitespace_line_in_record_is_skipped(tmp_path):
+    rows = [f"{i / FS},{1e-12 * math.sin(i)},{1e-12 * math.cos(i)}" for i in range(8192)]
+    (tmp_path / "clean.csv").write_text("t_s,top_t,bottom_t\n" + "\n".join(rows) + "\n")
+    rows.insert(100, "   ")
+    (tmp_path / "spaced.csv").write_text("t_s,top_t,bottom_t\n" + "\n".join(rows) + "\n")
+    for name in ("clean", "spaced"):
+        assert main(["psd", "--in", str(tmp_path / f"{name}.csv"),
+                     "--out", str(tmp_path / f"{name}_psd.csv")]) == EXIT_OK
+    assert (tmp_path / "spaced_psd.csv").read_bytes() == (tmp_path / "clean_psd.csv").read_bytes()
 
 
 GAS_SOLVE = ["gas-solve", "--shift-ghz", "1.916", "--width-ghz", "31.878"]

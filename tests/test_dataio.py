@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from serfkit import dataio
-from serfkit.errors import InvalidParameterError
+from serfkit.errors import InvalidParameterError, ValidationError
 from serfkit.gradiometer import GradCalibration, PhasePoint
 from serfkit.lineshape import FrequencySweep
 from serfkit.records import TwoChannelRecord
@@ -137,3 +137,100 @@ def test_linewidth_row_past_optional_column_rejected(tmp_path):
     path.write_text("resonance_hz,hwhm_hz,weight\n20,11,1.0\n40,12,0.5,7\n")
     with pytest.raises(InvalidParameterError, match=":3: expected 2 to 3 columns, got 4"):
         dataio.read_linewidth_points_csv(path)
+
+
+READERS = {
+    "sweep": ("freq_hz,value", dataio.read_sweep_csv),
+    "record": ("t_s,top_t,bottom_t", dataio.read_record_csv),
+    "phase": ("freq_hz,phase_rad", dataio.read_phase_points_csv),
+    "linewidth": ("resonance_hz,hwhm_hz,weight", dataio.read_linewidth_points_csv),
+}
+RECORD_ROWS = ["0,1e-12,2e-12", "0.001,3e-12,4e-12", "0.002,5e-12,6e-12"]
+
+
+def _snapshot(obj):
+    """Field types and exact values of a reader result (lists element-wise)."""
+    if isinstance(obj, list):
+        return [_snapshot(o) for o in obj]
+    return {
+        k: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+        else (type(v).__name__, repr(v))
+        for k, v in vars(obj).items()
+    }
+
+
+def _outcome(read, path):
+    try:
+        return _snapshot(read(path))
+    except ValidationError as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize(
+    "kind, body, header",
+    [
+        ("phase", "1,0.1\n\n2,0.2\n\n", None),
+        ("phase", "1,0.1\n  \t \n2,0.2\n", None),
+        ("record", "\r\n".join(RECORD_ROWS) + "\r\n", None),
+        ("record", "\n".join(RECORD_ROWS[:1] + [" ,  , "] + RECORD_ROWS[1:]) + "\n", None),
+        ("phase", '"1",0.1\n2,"0.2"\n', None),
+        ("phase", "1_0,0.1\n", None),
+        ("phase", "0x10,0.1\n", None),
+        ("phase", "1,0.1,\n", None),
+        ("linewidth", "20,11,\n", None),
+        ("phase", "1,\n", None),
+        ("phase", "1,0.1,9\n2,0.2,9\n", None),
+        ("phase", "1\n2\n", None),
+        ("linewidth", " nan ,11,1\ninf,12, 2 \n", None),
+        ("linewidth", "-Infinity,11\n", None),
+        ("phase", "5,0.25\n", None),
+        ("phase", "", None),
+        ("phase", "1,0.1,7\n2,0.2,8\n", "freq_hz,phase_rad,extra"),
+        ("phase", "1,0.1\n2,0.2\n", "freq_hz,phase_rad,extra"),
+        ("sweep", "1,0\n2,1\n3,4\n4,9\n5,16\n", None),
+        ("linewidth", "20,11,1.0\n40,12,0.5\n", None),
+        ("linewidth", "20,11\n40,12\n", None),
+        ("linewidth", "20,11,1.0\n40,12\n", None),
+    ],
+    ids=[
+        "blank-lines", "whitespace-line", "crlf", "whitespace-cells", "quoted",
+        "underscore", "hex", "trailing-comma", "trailing-comma-optional", "empty-cell",
+        "too-many-columns", "too-few-columns",
+        "nan-inf", "minus-infinity", "single-row", "header-only", "extra-header-column",
+        "extra-header-column-unused", "sweep", "weights", "no-weights", "some-weights",
+    ],
+)
+def test_readers_match_row_parser(tmp_path, monkeypatch, kind, body, header):
+    default_header, read = READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write((header or default_header) + "\n" + body)
+    got = _outcome(read, path)
+
+    def no_fast_parse(*args, **kwargs):
+        raise ValueError("fast parse disabled")
+
+    monkeypatch.setattr(np, "loadtxt", no_fast_parse)
+    assert got == _outcome(read, path)
+    if isinstance(got, list):
+        for point in got:
+            assert all(t in ("float", "NoneType") for t, _ in point.values())
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        ([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 0.1],
+         np.array([0.1, -0.0, 1 / 3, -5e-324, 2.0**60, -np.inf, np.nan])),
+        ([1.5], [-0.0], [np.nan]),
+        (np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 0.1]),),
+    ],
+    ids=["special-values", "one-row", "one-column"],
+)
+def test_write_csv_matches_per_value_format(tmp_path, columns):
+    path = tmp_path / "out.csv"
+    header = [f"c{i}" for i in range(len(columns))]
+    dataio._write_csv(path, header, columns)
+    lines = [",".join(header)]
+    lines += [",".join(format(float(v), ".17g") for v in row) for row in zip(*columns)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

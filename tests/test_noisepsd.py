@@ -12,6 +12,8 @@ from serfkit.errors import (
     MissingToneError,
 )
 from serfkit.noisepsd import (
+    TONE_MIN_SNR,
+    TONE_NEIGHBORHOOD_BINS,
     PsdEstimate,
     band_floor,
     calibrate_tesla,
@@ -142,6 +144,30 @@ class TestBandFloor:
     def test_inverted_band(self):
         with pytest.raises(InsufficientBandError):
             band_floor(self.flat_psd(), 30.0, 20.0)
+
+    @staticmethod
+    def per_bin_floor(psd, f_lo_hz, f_hi_hz):
+        # Reference: the per-bin loop over the truncated +-20-bin windows.
+        freqs, asd = psd.freqs_hz, psd.asd_t_sqrthz
+        keep = []
+        for k in np.flatnonzero((freqs >= f_lo_hz) & (freqs <= f_hi_hz)):
+            lo = max(0, k - TONE_NEIGHBORHOOD_BINS)
+            hi = min(len(asd), k + TONE_NEIGHBORHOOD_BINS + 1)
+            if not asd[k] > TONE_MIN_SNR * np.median(asd[lo:hi]):
+                keep.append(k)
+        return float(np.median(asd[keep]))
+
+    @pytest.mark.parametrize(
+        "segment_len, band",
+        [(4096, (0.0, 2.0)), (4096, (0.0, 500.0)), (4096, (5.0, 15.0)), (4096, (20.0, 30.0)),
+         (64, (0.0, 500.0))],
+    )
+    def test_matches_per_bin_loop(self, segment_len, band):
+        t = np.arange(60000) / FS
+        x = white_noise(sigma=8e-15 * math.sqrt(FS / 2.0), seed=10)
+        x = x + 16e-12 * np.sin(2 * np.pi * 10.0 * t) + 1e-12 * np.sin(2 * np.pi * 499.0 * t)
+        psd = welch_asd(x, FS, segment_len=segment_len)
+        assert band_floor(psd, *band) == self.per_bin_floor(psd, *band)
 
 
 class TestPsdEstimate:
