@@ -1,7 +1,9 @@
 """CSV/JSON readers and writers with atomic output.
 
 Series go to CSV, parameters and results to JSON. Floats are written with 17
-significant digits (``%.17g``) so every value round-trips exactly.
+significant digits (``%.17g``) so every value round-trips exactly. CSV rows
+are formatted and written in fixed-size blocks, so a write needs little
+memory beyond the columns themselves.
 
 A CSV body is parsed by ``np.loadtxt`` in one call. Any input it rejects, or
 parses to the wrong number of columns, goes through the row parser, which
@@ -16,6 +18,7 @@ import json
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,19 +29,33 @@ from .noisepsd import PsdEstimate
 from .records import TwoChannelRecord
 from .serf import LinewidthPoint
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a same-directory temp file and rename; no partial outputs."""
+# Rows formatted per write by ``_write_csv``; bounds its extra memory.
+_WRITE_BLOCK_ROWS = 4096
+
+
+@contextmanager
+def _atomic_file(path):
+    """Text handle on a same-directory temp file, renamed over ``path`` on success.
+
+    On any error the temp file is removed, so there are no partial outputs.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write via a same-directory temp file and rename; no partial outputs."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def write_json(path, obj) -> None:
@@ -59,10 +76,17 @@ def sha256_file(path) -> str:
 
 
 def _write_csv(path, header, columns) -> None:
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    body = (row * len(table)) % tuple(table.ravel().tolist())
-    atomic_write_text(path, ",".join(header) + "\n" + body)
+    """Write the columns as rows, ``_WRITE_BLOCK_ROWS`` rows per formatted block."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with _atomic_file(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, _WRITE_BLOCK_ROWS):
+            block = np.column_stack([c[start : start + _WRITE_BLOCK_ROWS] for c in columns])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _read_csv(path, expected_header, optional_tail=0):
@@ -115,6 +139,15 @@ def _parse_rows(path, lo, hi):
     return rows
 
 
+def _read_array(path, expected_header) -> np.ndarray:
+    """``_read_csv`` as a 2-D array of the header's columns; extra columns are dropped."""
+    rows = _read_csv(path, expected_header)
+    k = len(expected_header)
+    if isinstance(rows, np.ndarray):
+        return rows[:, :k]
+    return np.array([r[:k] for r in rows])
+
+
 def _read_rows(path, expected_header, optional_tail=0) -> list[list[float]]:
     """``_read_csv`` as lists of Python floats, for the point readers."""
     rows = _read_csv(path, expected_header, optional_tail)
@@ -145,8 +178,7 @@ def write_sweep_csv(path, sweep: FrequencySweep) -> None:
 
 
 def read_sweep_csv(path) -> FrequencySweep:
-    rows = _read_csv(path, ("freq_hz", "value"))
-    data = np.asarray(rows)
+    data = _read_array(path, ("freq_hz", "value"))
     return FrequencySweep(freqs_hz=data[:, 0], values=data[:, 1])
 
 
@@ -157,8 +189,7 @@ def write_record_csv(path, record: TwoChannelRecord) -> None:
 
 
 def read_record_csv(path) -> TwoChannelRecord:
-    rows = _read_csv(path, ("t_s", "top_t", "bottom_t"))
-    data = np.asarray(rows)
+    data = _read_array(path, ("t_s", "top_t", "bottom_t"))
     rate = _sample_rate(path, data[:, 0])
     return TwoChannelRecord(sample_rate_hz=rate, top_t=data[:, 1], bottom_t=data[:, 2])
 
@@ -171,8 +202,7 @@ def write_series_csv(path, sample_rate_hz: float, values) -> None:
 
 def read_series_csv(path) -> tuple[float, np.ndarray]:
     """Single-channel series CSV; returns (sample_rate_hz, values)."""
-    rows = _read_csv(path, ("t_s", "value_t"))
-    data = np.asarray(rows)
+    data = _read_array(path, ("t_s", "value_t"))
     return _sample_rate(path, data[:, 0]), data[:, 1]
 
 

@@ -151,9 +151,17 @@ def fit_phase_model(points) -> PhaseModelFit:
     return PhaseModelFit(f1_hz=float(f1), f2_hz=float(f2), covariance=res.covariance)
 
 
-def _windowed_magnitude(series: np.ndarray) -> tuple[np.ndarray, float]:
-    window = hann_window(len(series))
-    return np.abs(np.fft.rfft(series * window)), float(window.sum())
+def _windowed_magnitude(series: np.ndarray, window: np.ndarray) -> np.ndarray:
+    return np.abs(np.fft.rfft(series * window))
+
+
+def _tone_amplitude(
+    series: np.ndarray, window: np.ndarray, sample_rate_hz: float, tone_freq_hz: float
+) -> float:
+    """Window-corrected tone amplitude at the located tone bin (no SNR gate)."""
+    mag = _windowed_magnitude(series, window)
+    k = _tone_bin(mag, sample_rate_hz / len(series), tone_freq_hz)
+    return float(2.0 * mag[k] / float(window.sum()))
 
 
 def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
@@ -168,8 +176,9 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
     MissingToneError
         Tone below 10x the local spectral floor in either channel.
     """
-    mag_top, _ = _windowed_magnitude(record.top_t)
-    mag_bottom, _ = _windowed_magnitude(record.bottom_t)
+    window = hann_window(len(record))
+    mag_top = _windowed_magnitude(record.top_t, window)
+    mag_bottom = _windowed_magnitude(record.bottom_t, window)
     k = _tone_bin(mag_top, record.sample_rate_hz / len(record), tone_freq_hz)
     for name, mag in (("top", mag_top), ("bottom", mag_bottom)):
         _tone_gate(mag, k, tone_freq_hz, f" in {name} channel")
@@ -179,9 +188,7 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
 def tone_amplitude_in_series(series: np.ndarray, sample_rate_hz: float, tone_freq_hz: float) -> float:
     """Hann-window-corrected tone amplitude in a single series (no SNR gate)."""
     series = np.asarray(series, dtype=float)
-    mag, window_sum = _windowed_magnitude(series)
-    k = _tone_bin(mag, sample_rate_hz / len(series), tone_freq_hz)
-    return float(2.0 * mag[k] / window_sum)
+    return _tone_amplitude(series, hann_window(len(series)), sample_rate_hz, tone_freq_hz)
 
 
 def subtract(
@@ -200,13 +207,11 @@ def subtract(
     The DC bin is left uncorrected, so the output mean is exactly the
     difference of the channel means; the Nyquist bin receives no phase
     rotation (keeps the spectrum Hermitian). Any record length is handled
-    directly by the FFT, no padding needed.
+    directly by the FFT, no padding needed. The spectra are corrected in
+    place, so the extra memory is about three record channels.
     """
     n = len(record)
     freqs = np.fft.rfftfreq(n, 1.0 / record.sample_rate_hz)
-    top = np.fft.rfft(record.top_t)
-    bottom = np.fft.rfft(record.bottom_t)
-
     correction = np.full(len(freqs), cal.amplitude_ratio, dtype=complex)
     if phase_correct:
         anchor = (
@@ -215,11 +220,23 @@ def subtract(
             else 1.0
         )
         correction *= magnitude_ratio(freqs, cal.f1_hz, cal.f2_hz) / anchor
-        correction *= np.exp(1j * phase_difference(freqs, cal.f1_hz, cal.f2_hz))
+        rotation = 1j * phase_difference(freqs, cal.f1_hz, cal.f2_hz)
+        correction *= np.exp(rotation, out=rotation)
+        del rotation
+    del freqs
     correction[0] = 1.0
     if n % 2 == 0:
         correction[-1] = abs(correction[-1])
-    return np.fft.irfft(top - correction * bottom, n)
+
+    # correction * bottom, not bottom * correction: the two can differ in
+    # the last bit.
+    bottom = np.fft.rfft(record.bottom_t)
+    np.multiply(correction, bottom, out=bottom)
+    del correction
+    top = np.fft.rfft(record.top_t)
+    top -= bottom
+    del bottom
+    return np.fft.irfft(top, n)
 
 
 def reduction_ratio(
@@ -237,12 +254,14 @@ def reduction_ratio(
     MissingToneError
         Tone not present in the input record.
     """
-    mag_top, window_sum = _windowed_magnitude(record.top_t)
+    window = hann_window(len(record))
+    mag_top = _windowed_magnitude(record.top_t, window)
     k = _tone_bin(mag_top, record.sample_rate_hz / len(record), tone_freq_hz)
     _tone_gate(mag_top, k, tone_freq_hz, " in top channel")
-    top_amp = float(2.0 * mag_top[k] / window_sum)
+    top_amp = float(2.0 * mag_top[k] / float(window.sum()))
+    del mag_top
     diff = subtract(record, cal, phase_correct=phase_correct)
-    residual_amp = tone_amplitude_in_series(diff, record.sample_rate_hz, tone_freq_hz)
+    residual_amp = _tone_amplitude(diff, window, record.sample_rate_hz, tone_freq_hz)
     if residual_amp == 0.0:
         return math.inf
     return top_amp / residual_amp

@@ -96,21 +96,46 @@ def channel_transfer(freq_hz, bandwidth_hz: float):
     return out if out.ndim else complex(out)
 
 
-def _shaped_noise(rng, freqs: np.ndarray, n: int, fs: float, asd_of_f) -> np.ndarray:
-    """Real series with the target one-sided ASD, synthesized spectrally.
+def _shaped_noise(rng, freqs: np.ndarray, n: int, fs: float, level: float,
+                  corner_hz: float = 0.0) -> np.ndarray:
+    """Real series with one-sided ASD ``level``, synthesized spectrally.
 
-    Bin variances are fixed by E|X_k|^2 = PSD(f_k) * fs * n / 2 so Welch
-    estimates read back the configured density. Normal draws happen even for
-    zero ASD to keep the generator stream independent of the noise levels.
+    A nonzero ``corner_hz`` steepens the ASD below the corner as
+    ``level * sqrt(corner / f)``. Bin variances are fixed by
+    E|X_k|^2 = PSD(f_k) * fs * n / 2 so Welch estimates read back the
+    configured density. Normal draws happen even for zero ASD to keep the
+    generator stream independent of the noise levels.
     """
     re = rng.standard_normal(len(freqs))
     im = rng.standard_normal(len(freqs))
-    asd = np.asarray(asd_of_f(freqs), dtype=float)
-    spec = (re + 1j * im) * (asd * np.sqrt(fs * n / 4.0))
+    if level == 0.0:
+        return np.zeros(n)
+    asd = np.full_like(freqs, level)
+    if corner_hz > 0.0:
+        with np.errstate(divide="ignore"):
+            asd *= np.sqrt(np.maximum(corner_hz / np.maximum(freqs, 1e-300), 1.0))
+    nyquist = re[-1] * asd[-1] * np.sqrt(fs * n / 2.0)
+    spec = 1j * im
+    spec += re
+    del re, im
+    asd *= np.sqrt(fs * n / 4.0)
+    spec *= asd
+    del asd
     spec[0] = 0.0
     if n % 2 == 0:
-        spec[-1] = re[-1] * asd[-1] * np.sqrt(fs * n / 2.0)
+        spec[-1] = nyquist
     return np.fft.irfft(spec, n)
+
+
+def _filtered(spec: np.ndarray, freqs: np.ndarray, bandwidth_hz: float, gain: float,
+              n: int) -> np.ndarray:
+    """``gain`` times the series of ``spec`` passed through the channel response."""
+    response = channel_transfer(freqs, bandwidth_hz)
+    response *= spec
+    out = np.fft.irfft(response, n)
+    if gain != 1.0:
+        out *= gain
+    return out
 
 
 def simulate_record(cfg: SimConfig) -> TwoChannelRecord:
@@ -123,43 +148,42 @@ def simulate_record(cfg: SimConfig) -> TwoChannelRecord:
 
     where ``common`` is the tone sum plus the common-mode noise, filtered
     circularly through the first-order response. Draw order (common,
-    gradient, sensor top, sensor bottom) is fixed for reproducibility.
+    gradient, sensor top, sensor bottom) is fixed for reproducibility. Each
+    full-length intermediate is released as soon as it has been used.
     """
     n = cfg.n_samples
     fs = cfg.sample_rate_hz
-    t = np.arange(n) / fs
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
     rng = np.random.default_rng(cfg.seed)
+    noise = cfg.noise
 
-    corner = cfg.noise.one_over_f_corner_hz
-
-    def common_asd(f):
-        base = np.full_like(f, cfg.noise.common_asd_t_sqrthz)
-        if corner > 0.0:
-            with np.errstate(divide="ignore"):
-                boost = np.sqrt(np.maximum(corner / np.maximum(f, 1e-300), 1.0))
-            base = base * boost
-        return base
-
-    common = _shaped_noise(rng, freqs, n, fs, common_asd)
-    for tone_freq, amp, phase in cfg.tones:
-        common = common + amp * np.sin(2.0 * np.pi * tone_freq * t + phase)
-
-    gradient = _shaped_noise(
-        rng, freqs, n, fs, lambda f: np.full_like(f, cfg.noise.gradient_asd_t_sqrthz)
+    common = _shaped_noise(
+        rng, freqs, n, fs, noise.common_asd_t_sqrthz, noise.one_over_f_corner_hz
     )
-    sensor_top_asd, sensor_bottom_asd = cfg.noise.sensor_pair
-    sensor_top = _shaped_noise(rng, freqs, n, fs, lambda f: np.full_like(f, sensor_top_asd))
-    sensor_bottom = _shaped_noise(
-        rng, freqs, n, fs, lambda f: np.full_like(f, sensor_bottom_asd)
-    )
-
+    if cfg.tones:
+        t = np.arange(n) / fs
+        for tone_freq, amp, phase in cfg.tones:
+            wave = 2.0 * np.pi * tone_freq * t
+            wave += phase
+            np.sin(wave, out=wave)
+            wave *= amp
+            common += wave
+            del wave
+        del t
     spec = np.fft.rfft(common)
+    del common
     g1, g2 = cfg.channel_gains
-    top = g1 * np.fft.irfft(channel_transfer(freqs, cfg.f1_hz) * spec, n)
-    bottom = g2 * np.fft.irfft(channel_transfer(freqs, cfg.f2_hz) * spec, n)
-    top = top + sensor_top + 0.5 * gradient
-    bottom = bottom + sensor_bottom - 0.5 * gradient
+    top = _filtered(spec, freqs, cfg.f1_hz, g1, n)
+    bottom = _filtered(spec, freqs, cfg.f2_hz, g2, n)
+    del spec
+
+    half_gradient = _shaped_noise(rng, freqs, n, fs, noise.gradient_asd_t_sqrthz)
+    half_gradient *= 0.5
+    sensor_top_asd, sensor_bottom_asd = noise.sensor_pair
+    top += _shaped_noise(rng, freqs, n, fs, sensor_top_asd)
+    bottom += _shaped_noise(rng, freqs, n, fs, sensor_bottom_asd)
+    top += half_gradient
+    bottom -= half_gradient
 
     if not (np.all(np.isfinite(top)) and np.all(np.isfinite(bottom))):
         raise ConfigError("simulation produced non-finite samples")

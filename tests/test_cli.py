@@ -342,6 +342,17 @@ def test_whitespace_line_in_record_is_skipped(tmp_path):
     assert (tmp_path / "spaced_psd.csv").read_bytes() == (tmp_path / "clean_psd.csv").read_bytes()
 
 
+def test_record_with_partly_filled_extra_column(tmp_path):
+    rows = [f"{i / FS},{1e-12 * math.sin(i)},{1e-12 * math.cos(i)}" for i in range(8192)]
+    (tmp_path / "clean.csv").write_text("t_s,top_t,bottom_t\n" + "\n".join(rows) + "\n")
+    rows[100] += ",1"
+    (tmp_path / "noted.csv").write_text("t_s,top_t,bottom_t,note\n" + "\n".join(rows) + "\n")
+    for name in ("clean", "noted"):
+        assert main(["psd", "--in", str(tmp_path / f"{name}.csv"),
+                     "--out", str(tmp_path / f"{name}_psd.csv")]) == EXIT_OK
+    assert (tmp_path / "noted_psd.csv").read_bytes() == (tmp_path / "clean_psd.csv").read_bytes()
+
+
 GAS_SOLVE = ["gas-solve", "--shift-ghz", "1.916", "--width-ghz", "31.878"]
 
 

@@ -1,6 +1,7 @@
 """CSV/JSON round-trip and atomic-write tests."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,3 +235,64 @@ def test_write_csv_matches_per_value_format(tmp_path, columns):
     lines = [",".join(header)]
     lines += [",".join(format(float(v), ".17g") for v in row) for row in zip(*columns)]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "header, rows, read",
+    [
+        ("freq_hz,value", ["1,0", "2,1", "3,4", "4,9", "5,16"], dataio.read_sweep_csv),
+        ("t_s,top_t,bottom_t", RECORD_ROWS, dataio.read_record_csv),
+        ("t_s,value_t", ["0,1e-12", "0.001,2e-12", "0.002,3e-12"], dataio.read_series_csv),
+    ],
+    ids=["sweep", "record", "series"],
+)
+@pytest.mark.parametrize("extra_rows", ["one", "all"])
+def test_extra_column_reads_as_without_it(tmp_path, header, rows, read, extra_rows):
+    # One longer row among shorter ones goes through the row parser; a full
+    # extra column goes through np.loadtxt. Both keep the leading columns.
+    clean = tmp_path / "clean.csv"
+    clean.write_text(header + "\n" + "\n".join(rows) + "\n")
+    marked = [r + ",7" if extra_rows == "all" or i == 1 else r for i, r in enumerate(rows)]
+    noted = tmp_path / "noted.csv"
+    noted.write_text(header + ",note\n" + "\n".join(marked) + "\n")
+
+    def values(result):
+        items = result if isinstance(result, tuple) else vars(result).values()
+        return [np.asarray(v).tolist() for v in items]
+
+    assert values(read(noted)) == values(read(clean))
+
+
+def _whole_table_csv(header, columns) -> bytes:
+    """The writer's output as one %-format of the whole table."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return (",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())).encode()
+
+
+@pytest.mark.parametrize(
+    "n_rows",
+    [0, 1, dataio._WRITE_BLOCK_ROWS - 1, dataio._WRITE_BLOCK_ROWS, dataio._WRITE_BLOCK_ROWS + 1],
+)
+def test_block_writes_match_whole_table_format(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    columns = [np.arange(n_rows) / 1000.0, rng.normal(0.0, 1e-12, n_rows),
+               rng.normal(0.0, 1e-12, n_rows)]
+    header = ("t_s", "top_t", "bottom_t")
+    path = tmp_path / "out.csv"
+    dataio._write_csv(path, header, columns)
+    assert path.read_bytes() == _whole_table_csv(header, columns)
+
+
+def test_record_write_memory_is_bounded(tmp_path):
+    n = 300_000
+    rng = np.random.default_rng(5)
+    record = TwoChannelRecord(1000.0, rng.normal(0.0, 1e-12, n), rng.normal(0.0, 1e-12, n))
+    input_bytes = record.top_t.nbytes + record.bottom_t.nbytes
+    tracemalloc.start()
+    try:
+        dataio.write_record_csv(tmp_path / "rec.csv", record)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * input_bytes

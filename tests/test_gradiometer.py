@@ -1,5 +1,6 @@
 """Gradiometer calibration and frequency-domain subtraction tests."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -266,3 +267,63 @@ class TestCalibrationType:
     def test_magnitude_ratio_anchors(self):
         assert magnitude_ratio(0.0, F1, F2) == 1.0
         assert magnitude_ratio(10.0, F1, F2) == pytest.approx(0.99081, abs=1e-5)
+
+
+def _digest(*arrays) -> str:
+    """sha256 over the float64 bytes of each array, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _golden_record(name):
+    if name == "odd_n":
+        return tone_record(n=8191, bottom_gain=0.97, noise=1e-14, seed=9)
+    configs = {
+        "two_tones": SimConfig(FS, 8.0, seed=3, f1_hz=F1, f2_hz=F2,
+                               tones=((10.0, 16e-12, 0.0), (35.0, 5e-12, 1.0)),
+                               noise=NoiseModel(common_asd_t_sqrthz=8e-15)),
+        "gains": SimConfig(FS, 8.0, seed=4, f1_hz=F1, f2_hz=F2, channel_gains=(1.3, 0.7),
+                           tones=((10.0, 16e-12, 0.0),),
+                           noise=NoiseModel(common_asd_t_sqrthz=8e-15, gradient_asd_t_sqrthz=2e-15,
+                                            sensor_asd_t_sqrthz=(1e-15, 2e-15))),
+        "bench_60k": SimConfig(FS, 60.0, seed=101, f1_hz=F1, f2_hz=F2,
+                               tones=((10.0, 16e-12, 0.0),),
+                               noise=NoiseModel(common_asd_t_sqrthz=8e-15,
+                                                sensor_asd_t_sqrthz=8.5e-16)),
+    }
+    return simulate_record(configs[name])
+
+
+# sha256 of subtract with and without phase correction, then of
+# repr(amplitude_ratio) and repr(reduction_ratio) with and without it.
+GOLDEN_SUBTRACT = {
+    "odd_n": "742c5a2bbfb5eec6aa8715aa7f535a30608c809072a453338e53a1e0ba9b9e36",
+    "two_tones": "f90ac273b36064cdaa351dc5497127fd96d6ae614be3eb45265cf0db6aff832f",
+    "gains": "a01f12c30988f90a8e289f8b6c69bfb271254cba1a5bef2c089d42a664472ce7",
+    "bench_60k": "c6564396f88eb4caab45123f2c76137814a926a9c479f31c3ca9f856d27a307f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SUBTRACT))
+def test_subtract_and_reduction_ratio_golden_digest(name):
+    rec = _golden_record(name)
+    ratio = amplitude_ratio(rec, 10.0)
+    cal = GradCalibration(ratio, F1, F2, tone_freq_hz=10.0, tone_amp_t=16e-12)
+    h = hashlib.sha256()
+    h.update(_digest(subtract(rec, cal, phase_correct=True)).encode())
+    h.update(_digest(subtract(rec, cal, phase_correct=False)).encode())
+    h.update(repr(ratio).encode())
+    for phase in (True, False):
+        h.update(repr(reduction_ratio(rec, cal, 10.0, phase_correct=phase)).encode())
+    assert h.hexdigest() == GOLDEN_SUBTRACT[name]
+
+
+def test_subtract_without_calibration_tone_golden_digest():
+    # tone_freq_hz = 0 anchors the magnitude dispersion at 1.
+    rec = _golden_record("odd_n")
+    cal = GradCalibration(1.02, F1, F2)
+    assert _digest(subtract(rec, cal)) == (
+        "e3e4a07b064110ef6154fcd2ae6c869fd3d846213bdbb591ba921f8a46612ab6"
+    )
