@@ -151,17 +151,12 @@ def fit_phase_model(points) -> PhaseModelFit:
     return PhaseModelFit(f1_hz=float(f1), f2_hz=float(f2), covariance=res.covariance)
 
 
-def _windowed_magnitude(series: np.ndarray, window: np.ndarray) -> np.ndarray:
-    return np.abs(np.fft.rfft(series * window))
-
-
 def _tone_amplitude(
-    series: np.ndarray, window: np.ndarray, sample_rate_hz: float, tone_freq_hz: float
+    mag: np.ndarray, window_sum: float, bin_width_hz: float, tone_freq_hz: float
 ) -> float:
-    """Window-corrected tone amplitude at the located tone bin (no SNR gate)."""
-    mag = _windowed_magnitude(series, window)
-    k = _tone_bin(mag, sample_rate_hz / len(series), tone_freq_hz)
-    return float(2.0 * mag[k] / float(window.sum()))
+    """Window-corrected tone amplitude at the tone bin of a windowed magnitude spectrum."""
+    k = _tone_bin(mag, bin_width_hz, tone_freq_hz)
+    return float(2.0 * mag[k] / window_sum)
 
 
 def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
@@ -177,8 +172,8 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
         Tone below 10x the local spectral floor in either channel.
     """
     window = hann_window(len(record))
-    mag_top = _windowed_magnitude(record.top_t, window)
-    mag_bottom = _windowed_magnitude(record.bottom_t, window)
+    mag_top = np.abs(np.fft.rfft(record.top_t * window))
+    mag_bottom = np.abs(np.fft.rfft(record.bottom_t * window))
     k = _tone_bin(mag_top, record.sample_rate_hz / len(record), tone_freq_hz)
     for name, mag in (("top", mag_top), ("bottom", mag_bottom)):
         _tone_gate(mag, k, tone_freq_hz, f" in {name} channel")
@@ -188,7 +183,9 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
 def tone_amplitude_in_series(series: np.ndarray, sample_rate_hz: float, tone_freq_hz: float) -> float:
     """Hann-window-corrected tone amplitude in a single series (no SNR gate)."""
     series = np.asarray(series, dtype=float)
-    return _tone_amplitude(series, hann_window(len(series)), sample_rate_hz, tone_freq_hz)
+    window = hann_window(len(series))
+    mag = np.abs(np.fft.rfft(series * window))
+    return _tone_amplitude(mag, float(window.sum()), sample_rate_hz / len(series), tone_freq_hz)
 
 
 def subtract(
@@ -255,13 +252,19 @@ def reduction_ratio(
         Tone not present in the input record.
     """
     window = hann_window(len(record))
-    mag_top = _windowed_magnitude(record.top_t, window)
-    k = _tone_bin(mag_top, record.sample_rate_hz / len(record), tone_freq_hz)
+    window_sum = float(window.sum())
+    bin_width_hz = record.sample_rate_hz / len(record)
+    mag_top = np.abs(np.fft.rfft(record.top_t * window))
+    k = _tone_bin(mag_top, bin_width_hz, tone_freq_hz)
     _tone_gate(mag_top, k, tone_freq_hz, " in top channel")
-    top_amp = float(2.0 * mag_top[k] / float(window.sum()))
+    top_amp = _tone_amplitude(mag_top, window_sum, bin_width_hz, tone_freq_hz)
     del mag_top
     diff = subtract(record, cal, phase_correct=phase_correct)
-    residual_amp = _tone_amplitude(diff, window, record.sample_rate_hz, tone_freq_hz)
+    diff *= window
+    del window
+    residual_amp = _tone_amplitude(
+        np.abs(np.fft.rfft(diff)), window_sum, bin_width_hz, tone_freq_hz
+    )
     if residual_amp == 0.0:
         return math.inf
     return top_amp / residual_amp

@@ -133,8 +133,7 @@ def _filtered(spec: np.ndarray, freqs: np.ndarray, bandwidth_hz: float, gain: fl
     response = channel_transfer(freqs, bandwidth_hz)
     response *= spec
     out = np.fft.irfft(response, n)
-    if gain != 1.0:
-        out *= gain
+    out *= gain
     return out
 
 

@@ -1,6 +1,5 @@
 """Gradiometer calibration and frequency-domain subtraction tests."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -24,7 +23,7 @@ from serfkit.gradiometer import (
     subtract,
     tone_amplitude_in_series,
 )
-from serfkit.noisepsd import calibrate_tesla, welch_asd
+from serfkit.noisepsd import calibrate_tesla, hann_window, welch_asd
 from serfkit.records import TwoChannelRecord
 from serfkit.simulator import NoiseModel, SimConfig, simulate_record
 
@@ -269,61 +268,78 @@ class TestCalibrationType:
         assert magnitude_ratio(10.0, F1, F2) == pytest.approx(0.99081, abs=1e-5)
 
 
-def _digest(*arrays) -> str:
-    """sha256 over the float64 bytes of each array, in order."""
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-    return h.hexdigest()
+def _reference_subtract(record, cal, phase_correct=True):
+    """subtract written with plain full-length expressions, for bit-exact checks."""
+    n = len(record)
+    freqs = np.fft.rfftfreq(n, 1.0 / record.sample_rate_hz)
+    top = np.fft.rfft(record.top_t)
+    bottom = np.fft.rfft(record.bottom_t)
+    correction = np.full(len(freqs), cal.amplitude_ratio, dtype=complex)
+    if phase_correct:
+        anchor = (
+            magnitude_ratio(cal.tone_freq_hz, cal.f1_hz, cal.f2_hz)
+            if cal.tone_freq_hz > 0
+            else 1.0
+        )
+        correction *= magnitude_ratio(freqs, cal.f1_hz, cal.f2_hz) / anchor
+        correction *= np.exp(1j * phase_difference(freqs, cal.f1_hz, cal.f2_hz))
+    correction[0] = 1.0
+    if n % 2 == 0:
+        correction[-1] = abs(correction[-1])
+    return np.fft.irfft(top - correction * bottom, n)
 
 
-def _golden_record(name):
-    if name == "odd_n":
-        return tone_record(n=8191, bottom_gain=0.97, noise=1e-14, seed=9)
-    configs = {
-        "two_tones": SimConfig(FS, 8.0, seed=3, f1_hz=F1, f2_hz=F2,
-                               tones=((10.0, 16e-12, 0.0), (35.0, 5e-12, 1.0)),
-                               noise=NoiseModel(common_asd_t_sqrthz=8e-15)),
-        "gains": SimConfig(FS, 8.0, seed=4, f1_hz=F1, f2_hz=F2, channel_gains=(1.3, 0.7),
+def _reference_magnitude(series):
+    """Hann-windowed magnitude spectrum and the window sum."""
+    window = hann_window(len(series))
+    return np.abs(np.fft.rfft(series * window)), float(window.sum())
+
+
+def _reference_bin(mag, n, tone_freq_hz):
+    """Peak bin within +-2 bins of the nominal tone bin of an n-sample series."""
+    nominal = int(round(tone_freq_hz / (FS / n)))
+    return nominal - 2 + int(np.argmax(mag[nominal - 2:nominal + 3]))
+
+
+REFERENCE_CONFIGS = {
+    "two_tones": SimConfig(FS, 8.0, seed=3, f1_hz=F1, f2_hz=F2,
+                           tones=((10.0, 16e-12, 0.0), (35.0, 5e-12, 1.0)),
+                           noise=NoiseModel(common_asd_t_sqrthz=8e-15)),
+    "gains": SimConfig(FS, 8.0, seed=4, f1_hz=F1, f2_hz=F2, channel_gains=(1.3, 0.7),
+                       tones=((10.0, 16e-12, 0.0),),
+                       noise=NoiseModel(common_asd_t_sqrthz=8e-15, gradient_asd_t_sqrthz=2e-15,
+                                        sensor_asd_t_sqrthz=(1e-15, 2e-15))),
+    "bench_60k": SimConfig(FS, 60.0, seed=101, f1_hz=F1, f2_hz=F2,
                            tones=((10.0, 16e-12, 0.0),),
-                           noise=NoiseModel(common_asd_t_sqrthz=8e-15, gradient_asd_t_sqrthz=2e-15,
-                                            sensor_asd_t_sqrthz=(1e-15, 2e-15))),
-        "bench_60k": SimConfig(FS, 60.0, seed=101, f1_hz=F1, f2_hz=F2,
-                               tones=((10.0, 16e-12, 0.0),),
-                               noise=NoiseModel(common_asd_t_sqrthz=8e-15,
-                                                sensor_asd_t_sqrthz=8.5e-16)),
-    }
-    return simulate_record(configs[name])
-
-
-# sha256 of subtract with and without phase correction, then of
-# repr(amplitude_ratio) and repr(reduction_ratio) with and without it.
-GOLDEN_SUBTRACT = {
-    "odd_n": "742c5a2bbfb5eec6aa8715aa7f535a30608c809072a453338e53a1e0ba9b9e36",
-    "two_tones": "f90ac273b36064cdaa351dc5497127fd96d6ae614be3eb45265cf0db6aff832f",
-    "gains": "a01f12c30988f90a8e289f8b6c69bfb271254cba1a5bef2c089d42a664472ce7",
-    "bench_60k": "c6564396f88eb4caab45123f2c76137814a926a9c479f31c3ca9f856d27a307f",
+                           noise=NoiseModel(common_asd_t_sqrthz=8e-15,
+                                            sensor_asd_t_sqrthz=8.5e-16)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_SUBTRACT))
-def test_subtract_and_reduction_ratio_golden_digest(name):
-    rec = _golden_record(name)
+@pytest.mark.parametrize("name", ["odd_n", *sorted(REFERENCE_CONFIGS)])
+def test_subtract_and_ratios_match_reference_bit_for_bit(name):
+    if name == "odd_n":
+        rec = tone_record(n=8191, bottom_gain=0.97, noise=1e-14, seed=9)
+    else:
+        rec = simulate_record(REFERENCE_CONFIGS[name])
+    mag_top, window_sum = _reference_magnitude(rec.top_t)
+    mag_bottom, _ = _reference_magnitude(rec.bottom_t)
+    k = _reference_bin(mag_top, len(rec), 10.0)
     ratio = amplitude_ratio(rec, 10.0)
+    assert ratio == float(mag_top[k] / mag_bottom[k])
+
     cal = GradCalibration(ratio, F1, F2, tone_freq_hz=10.0, tone_amp_t=16e-12)
-    h = hashlib.sha256()
-    h.update(_digest(subtract(rec, cal, phase_correct=True)).encode())
-    h.update(_digest(subtract(rec, cal, phase_correct=False)).encode())
-    h.update(repr(ratio).encode())
+    top_amp = float(2.0 * mag_top[k] / window_sum)
     for phase in (True, False):
-        h.update(repr(reduction_ratio(rec, cal, 10.0, phase_correct=phase)).encode())
-    assert h.hexdigest() == GOLDEN_SUBTRACT[name]
+        expected = _reference_subtract(rec, cal, phase_correct=phase)
+        assert np.array_equal(subtract(rec, cal, phase_correct=phase), expected)
+        mag_diff, _ = _reference_magnitude(expected)
+        residual_amp = float(2.0 * mag_diff[_reference_bin(mag_diff, len(rec), 10.0)] / window_sum)
+        assert reduction_ratio(rec, cal, 10.0, phase_correct=phase) == top_amp / residual_amp
 
 
-def test_subtract_without_calibration_tone_golden_digest():
+def test_subtract_without_calibration_tone_matches_reference():
     # tone_freq_hz = 0 anchors the magnitude dispersion at 1.
-    rec = _golden_record("odd_n")
+    rec = tone_record(n=8191, bottom_gain=0.97, noise=1e-14, seed=9)
     cal = GradCalibration(1.02, F1, F2)
-    assert _digest(subtract(rec, cal)) == (
-        "e3e4a07b064110ef6154fcd2ae6c869fd3d846213bdbb591ba921f8a46612ab6"
-    )
+    assert np.array_equal(subtract(rec, cal), _reference_subtract(rec, cal))

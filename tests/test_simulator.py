@@ -1,6 +1,5 @@
 """Synthetic two-channel generator tests."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -176,62 +175,74 @@ class TestValidation:
             SimConfig(FS, 10.0, f1_hz=-5.0)
 
 
-def _digest(*arrays) -> str:
-    """sha256 over the float64 bytes of each array, in order."""
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-    return h.hexdigest()
+def _reference_record(cfg):
+    """simulate_record written with plain full-length expressions, for bit-exact checks.
+
+    Same draws, operands and summation order as the library, without any of
+    its in-place arithmetic or early releases.
+    """
+    n = cfg.n_samples
+    fs = cfg.sample_rate_hz
+    t = np.arange(n) / fs
+    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    rng = np.random.default_rng(cfg.seed)
+
+    def shaped_noise(asd):
+        re = rng.standard_normal(len(freqs))
+        im = rng.standard_normal(len(freqs))
+        spec = (re + 1j * im) * (asd * np.sqrt(fs * n / 4.0))
+        spec[0] = 0.0
+        if n % 2 == 0:
+            spec[-1] = re[-1] * asd[-1] * np.sqrt(fs * n / 2.0)
+        return np.fft.irfft(spec, n)
+
+    noise = cfg.noise
+    common_asd = np.full_like(freqs, noise.common_asd_t_sqrthz)
+    corner = noise.one_over_f_corner_hz
+    if corner > 0.0:
+        with np.errstate(divide="ignore"):
+            common_asd = common_asd * np.sqrt(np.maximum(corner / np.maximum(freqs, 1e-300), 1.0))
+    common = shaped_noise(common_asd)
+    for tone_freq, amp, phase in cfg.tones:
+        common = common + amp * np.sin(2.0 * np.pi * tone_freq * t + phase)
+    gradient = shaped_noise(np.full_like(freqs, noise.gradient_asd_t_sqrthz))
+    sensor_top_asd, sensor_bottom_asd = noise.sensor_pair
+    sensor_top = shaped_noise(np.full_like(freqs, sensor_top_asd))
+    sensor_bottom = shaped_noise(np.full_like(freqs, sensor_bottom_asd))
+
+    spec = np.fft.rfft(common)
+    g1, g2 = cfg.channel_gains
+    top = g1 * np.fft.irfft(channel_transfer(freqs, cfg.f1_hz) * spec, n)
+    bottom = g2 * np.fft.irfft(channel_transfer(freqs, cfg.f2_hz) * spec, n)
+    return top + sensor_top + 0.5 * gradient, bottom + sensor_bottom - 0.5 * gradient
 
 
-# Each config with the sha256 of its (top_t, bottom_t), pinned bit-for-bit.
-GOLDEN_RECORDS = {
-    "silent": (
-        SimConfig(FS, 5.0, seed=1),
-        "f8c784aa6b57396e7c5e094c34d079d8252473e46e2f60593a921dbebf941fcc",
-    ),
-    "odd_n": (
-        SimConfig(FS, 4.097, seed=2, tones=((10.0, 16e-12, 0.0),),
-                  noise=NoiseModel(common_asd_t_sqrthz=8e-15, sensor_asd_t_sqrthz=1e-15)),
-        "d647006addd0aa2ea0eb83761290bfd2c92679441a0d52cc68de8702bb189ad7",
-    ),
-    "two_tones": (
-        SimConfig(FS, 8.0, seed=3, tones=((10.0, 16e-12, 0.0), (35.0, 5e-12, 1.0)),
-                  noise=NoiseModel(common_asd_t_sqrthz=8e-15)),
-        "b6ea7b9003b88c9a22017ed4db30a67d2f5ffb3b3dbb2838f6d3a8354d2b246e",
-    ),
-    "gains": (
-        SimConfig(FS, 8.0, seed=4, channel_gains=(1.3, 0.7), tones=((10.0, 16e-12, 0.0),),
-                  noise=NoiseModel(common_asd_t_sqrthz=8e-15, sensor_asd_t_sqrthz=1e-15)),
-        "b5e80f38479a36042fb850119239c678616c989e1de35709f23a045f81adf551",
-    ),
-    "gradient": (
-        SimConfig(FS, 8.0, seed=5, tones=((10.0, 16e-12, 0.0),),
-                  noise=NoiseModel(common_asd_t_sqrthz=8e-15, gradient_asd_t_sqrthz=2e-15,
-                                   sensor_asd_t_sqrthz=1e-15)),
-        "322851e7cce7397ad77ea0736f9b4ccbd5c9360479fa4f52ee22dc1fdf80bd7f",
-    ),
-    "one_over_f": (
-        SimConfig(FS, 8.0, seed=6, tones=((10.0, 16e-12, 0.0),),
-                  noise=NoiseModel(common_asd_t_sqrthz=8e-15, one_over_f_corner_hz=5.0)),
-        "aaf7d25f9a65d4675de45223b5b1a7dc6c25852042321fb2bbfac4982341478d",
-    ),
-    "sensor_pair": (
-        SimConfig(FS, 8.0, seed=7, tones=((10.0, 16e-12, 0.0),),
-                  noise=NoiseModel(sensor_asd_t_sqrthz=(1e-15, 2e-15))),
-        "a560314846960149f6e37529ae6bf63376d4a7343667549b3edb3dd4225ae255",
-    ),
-    "bench_60k": (
-        SimConfig(FS, 60.0, seed=101, f1_hz=F1, f2_hz=F2, tones=((10.0, 16e-12, 0.0),),
-                  noise=NoiseModel(common_asd_t_sqrthz=8e-15, sensor_asd_t_sqrthz=8.5e-16)),
-        "1522d403b5dd54cfc4e66e6d654f838df2cf8295faa7aa464dbc8145239fea44",
-    ),
+REFERENCE_CONFIGS = {
+    "silent": SimConfig(FS, 5.0, seed=1),
+    "odd_n": SimConfig(FS, 4.097, seed=2, tones=((10.0, 16e-12, 0.0),),
+                       noise=NoiseModel(common_asd_t_sqrthz=8e-15, sensor_asd_t_sqrthz=1e-15)),
+    "two_tones": SimConfig(FS, 8.0, seed=3, tones=((10.0, 16e-12, 0.0), (35.0, 5e-12, 1.0)),
+                           noise=NoiseModel(common_asd_t_sqrthz=8e-15)),
+    "gains": SimConfig(FS, 8.0, seed=4, channel_gains=(1.3, 0.7), tones=((10.0, 16e-12, 0.0),),
+                       noise=NoiseModel(common_asd_t_sqrthz=8e-15, sensor_asd_t_sqrthz=1e-15)),
+    "gradient": SimConfig(FS, 8.0, seed=5, tones=((10.0, 16e-12, 0.0),),
+                          noise=NoiseModel(common_asd_t_sqrthz=8e-15, gradient_asd_t_sqrthz=2e-15,
+                                           sensor_asd_t_sqrthz=1e-15)),
+    "one_over_f": SimConfig(FS, 8.0, seed=6, tones=((10.0, 16e-12, 0.0),),
+                            noise=NoiseModel(common_asd_t_sqrthz=8e-15, one_over_f_corner_hz=5.0)),
+    "sensor_pair": SimConfig(FS, 8.0, seed=7, tones=((10.0, 16e-12, 0.0),),
+                             noise=NoiseModel(sensor_asd_t_sqrthz=(1e-15, 2e-15))),
+    "bench_60k": SimConfig(FS, 60.0, seed=101, f1_hz=F1, f2_hz=F2, tones=((10.0, 16e-12, 0.0),),
+                           noise=NoiseModel(common_asd_t_sqrthz=8e-15,
+                                            sensor_asd_t_sqrthz=8.5e-16)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RECORDS))
-def test_simulate_record_golden_digest(name):
-    cfg, expected = GOLDEN_RECORDS[name]
+@pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+def test_simulate_record_matches_reference_bit_for_bit(name):
+    cfg = REFERENCE_CONFIGS[name]
     rec = simulate_record(cfg)
+    top, bottom = _reference_record(cfg)
     assert len(rec) == cfg.n_samples
-    assert _digest(rec.top_t, rec.bottom_t) == expected
+    assert np.array_equal(rec.top_t, top)
+    assert np.array_equal(rec.bottom_t, bottom)
