@@ -59,17 +59,14 @@ K_D1_COEFFICIENTS = GasCoefficients()
 
 @dataclass(frozen=True)
 class CellComposition:
-    """Gas densities in amagat, optionally with the alkali number density."""
+    """Gas densities in amagat."""
 
     he_amagat: float
     n2_amagat: float
-    alkali_density_cm3: float | None = None
 
     def __post_init__(self):
         if self.he_amagat < 0 or self.n2_amagat < 0:
             raise InvalidParameterError("gas densities must be nonnegative")
-        if self.alkali_density_cm3 is not None and not self.alkali_density_cm3 > 0:
-            raise InvalidParameterError("alkali density must be positive when given")
 
 
 def solve_composition(

@@ -22,13 +22,13 @@ import numpy as np
 
 from . import __version__, dataio, demo
 from .cellchem import GasCoefficients, solve_composition
-from .errors import ConfigError, FitFailureError, InvalidParameterError, ValidationError
+from .errors import FitFailureError, InvalidParameterError, ValidationError
 from .gradiometer import GradCalibration, amplitude_ratio, fit_phase_model, subtract
 from .lineshape import fit_lorentzian, fit_response_curve
 from .nmrsignal import SampleSpec, dipole_field, load_isotopes, thermal_polarization
 from .noisepsd import band_floor, calibrate_tesla, welch_asd
 from .serf import fit_tse, number_density
-from .simulator import NoiseModel, SimConfig, simulate_record
+from .simulator import SimConfig, simulate_record
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -107,63 +107,9 @@ def _finish(args, result: dict, params: dict, write=None, seed=None) -> int:
     return EXIT_OK
 
 
-def _channel_gains(value) -> tuple[float, float]:
-    gains = tuple(float(g) for g in value)
-    if len(gains) != 2:
-        raise ConfigError("channel_gains must hold exactly two values")
-    return gains
-
-
-def _sensor_asd(value):
-    return tuple(float(s) for s in value) if isinstance(value, list) else float(value)
-
-
-# Config values are coerced to float unless their field is listed here.
-_CONVERTERS = {
-    "seed": int,
-    "channel_gains": _channel_gains,
-    "tones": lambda value: tuple((float(f), float(a), float(p)) for f, a, p in value),
-    "noise": lambda value: _from_config(NoiseModel, value, "noise config"),
-    "sensor_asd_t_sqrthz": _sensor_asd,
-}
-
-
-def _from_config(cls, raw, what: str, **overrides):
-    """Dataclass ``cls`` from a JSON object holding some of its fields.
-
-    Missing fields take the dataclass defaults; ``overrides`` replace values.
-
-    Raises
-    ------
-    ConfigError
-        Not a JSON object, an unknown key, a missing required field, or a
-        value that does not coerce to its field type.
-    """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    fields = dataclasses.fields(cls)
-    unknown = set(raw) - {f.name for f in fields}
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
-    missing = [
-        f.name
-        for f in fields
-        if f.name not in raw
-        and f.default is dataclasses.MISSING
-        and f.default_factory is dataclasses.MISSING
-    ]
-    if missing:
-        raise ConfigError(f"{what} requires {', '.join(missing)}")
-    try:
-        values = {key: _CONVERTERS.get(key, float)(value) for key, value in raw.items()}
-        return cls(**{**values, **overrides})
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"bad {what} value: {err}") from None
-
-
 def _cmd_simulate(args) -> int:
     seed = {} if args.seed is None else {"seed": args.seed}
-    cfg = _from_config(SimConfig, dataio.read_json(args.config), "simulate config", **seed)
+    cfg = dataio._from_json(SimConfig, dataio.read_json(args.config), "simulate config", **seed)
     record = simulate_record(cfg)
     return _finish(
         args,
@@ -182,7 +128,8 @@ def _cmd_fit_sweep(args) -> int:
 def _cmd_gas_solve(args) -> int:
     coeffs = None
     if args.config:
-        coeffs = _from_config(GasCoefficients, dataio.read_json(args.config), "coefficient config")
+        raw = dataio.read_json(args.config)
+        coeffs = dataio._from_json(GasCoefficients, raw, "coefficient config")
     comp = solve_composition(args.shift_ghz, args.width_ghz, coeffs)
     return _finish(
         args,
@@ -265,7 +212,8 @@ def _cmd_calibrate(args) -> int:
         tone_freq_hz=args.tone_freq,
         tone_amp_t=args.tone_amp,
     )
-    return _finish(args, cal.as_dict(), {"tone_freq": args.tone_freq, "tone_amp": args.tone_amp})
+    params = {"tone_freq": args.tone_freq, "tone_amp": args.tone_amp}
+    return _finish(args, dataclasses.asdict(cal), params)
 
 
 def _cmd_subtract(args) -> int:
@@ -287,7 +235,7 @@ def _cmd_phase_fit(args) -> int:
 
 def _sample_from_args(args) -> SampleSpec:
     if args.config:
-        return _from_config(SampleSpec, dataio.read_json(args.config), "sample config")
+        return dataio._from_json(SampleSpec, dataio.read_json(args.config), "sample config")
     isotopes = load_isotopes()
     if args.isotope not in isotopes:
         raise InvalidParameterError(

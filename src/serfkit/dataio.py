@@ -13,6 +13,7 @@ accepts what Python's ``float`` accepts and reports errors as ``path:line``.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,12 +23,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import ConfigError, InvalidParameterError
 from .gradiometer import GradCalibration, PhasePoint
 from .lineshape import FrequencySweep
 from .noisepsd import PsdEstimate
 from .records import TwoChannelRecord
 from .serf import LinewidthPoint
+from .simulator import NoiseModel
 
 # Rows formatted per write by ``_write_csv``; bounds its extra memory.
 _WRITE_BLOCK_ROWS = 4096
@@ -67,6 +69,62 @@ def read_json(path):
         return json.load(fh)
 
 
+def _channel_gains(value) -> tuple[float, float]:
+    gains = tuple(float(g) for g in value)
+    if len(gains) != 2:
+        raise ConfigError("channel_gains must hold exactly two values")
+    return gains
+
+
+def _sensor_asd(value):
+    return tuple(float(s) for s in value) if isinstance(value, list) else float(value)
+
+
+# JSON values are coerced to float unless their field is listed here.
+_CONVERTERS = {
+    "seed": int,
+    "channel_gains": _channel_gains,
+    "tones": lambda value: tuple((float(f), float(a), float(p)) for f, a, p in value),
+    "noise": lambda value: _from_json(NoiseModel, value, "noise config"),
+    "sensor_asd_t_sqrthz": _sensor_asd,
+}
+
+
+def _from_json(cls, raw, what: str, **overrides):
+    """Dataclass ``cls`` from a JSON object holding some of its fields.
+
+    Missing fields take the dataclass defaults; ``overrides`` replace values
+    and may supply fields the object lacks.
+
+    Raises
+    ------
+    ConfigError
+        Not a JSON object, an unknown key, a missing required field, or a
+        value that does not coerce to its field type.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what}: not a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = set(raw) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"{what}: unknown keys {', '.join(sorted(unknown))}")
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in raw
+        and f.name not in overrides
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{what}: requires {', '.join(missing)}")
+    try:
+        values = {key: _CONVERTERS.get(key, float)(value) for key, value in raw.items()}
+        return cls(**{**values, **overrides})
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{what}: bad value: {err}") from None
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -75,17 +133,25 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_csv(path, header, columns) -> None:
-    """Write the columns as rows, ``_WRITE_BLOCK_ROWS`` rows per formatted block."""
+def _write_csv(path, header, columns, sample_rate_hz=None) -> None:
+    """Write the columns as rows, ``_WRITE_BLOCK_ROWS`` rows per formatted block.
+
+    Given ``sample_rate_hz``, a first column ``i / sample_rate_hz`` is made
+    block by block, so the time axis is never held whole.
+    """
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with _atomic_file(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _WRITE_BLOCK_ROWS):
-            block = np.column_stack([c[start : start + _WRITE_BLOCK_ROWS] for c in columns])
+            stop = min(start + _WRITE_BLOCK_ROWS, n)
+            parts = [c[start:stop] for c in columns]
+            if sample_rate_hz is not None:
+                parts.insert(0, np.arange(start, stop) / sample_rate_hz)
+            block = np.column_stack(parts)
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -184,7 +250,7 @@ def read_sweep_csv(path) -> FrequencySweep:
 
 def write_record_csv(path, record: TwoChannelRecord) -> None:
     _write_csv(
-        path, ("t_s", "top_t", "bottom_t"), (record.times(), record.top_t, record.bottom_t)
+        path, ("t_s", "top_t", "bottom_t"), (record.top_t, record.bottom_t), record.sample_rate_hz
     )
 
 
@@ -195,9 +261,7 @@ def read_record_csv(path) -> TwoChannelRecord:
 
 
 def write_series_csv(path, sample_rate_hz: float, values) -> None:
-    values = np.asarray(values, dtype=float)
-    t = np.arange(len(values)) / sample_rate_hz
-    _write_csv(path, ("t_s", "value_t"), (t, values))
+    _write_csv(path, ("t_s", "value_t"), (values,), sample_rate_hz)
 
 
 def read_series_csv(path) -> tuple[float, np.ndarray]:
@@ -242,18 +306,8 @@ def write_psd_csv(path, psd: PsdEstimate) -> None:
 
 
 def write_calibration_json(path, cal: GradCalibration) -> None:
-    write_json(path, cal.as_dict())
+    write_json(path, dataclasses.asdict(cal))
 
 
 def read_calibration_json(path) -> GradCalibration:
-    raw = read_json(path)
-    try:
-        return GradCalibration(
-            amplitude_ratio=raw["amplitude_ratio"],
-            f1_hz=raw["f1_hz"],
-            f2_hz=raw["f2_hz"],
-            tone_freq_hz=raw.get("tone_freq_hz", 0.0),
-            tone_amp_t=raw.get("tone_amp_t", 0.0),
-        )
-    except KeyError as err:
-        raise InvalidParameterError(f"{path}: missing calibration key {err}") from None
+    return _from_json(GradCalibration, read_json(path), f"calibration {path}")

@@ -59,7 +59,7 @@ class ShapeError(ValidationError):
     """Mismatched array lengths between channels."""
 
 
-class ConfigError(ValidationError):
+class ConfigError(InvalidParameterError):
     """Simulation or run configuration is unusable."""
 
 

@@ -37,8 +37,6 @@ def fit_damped_least_squares(
     p0,
     *,
     max_iter: int = MAX_ITER,
-    step_tol: float = STEP_TOL,
-    grad_tol: float = GRAD_TOL,
 ) -> LeastSquaresResult:
     """Minimize sum(residual**2) by a damped Gauss-Newton iteration.
 
@@ -56,11 +54,9 @@ def fit_damped_least_squares(
     p0 : array_like
         Starting parameter vector.
     max_iter : int
-        Budget of trial steps (accepted or rejected).
-    step_tol : float
-        Converged when ||step|| <= step_tol * (step_tol + ||params||).
-    grad_tol : float
-        Converged when the gradient infinity-norm falls below this.
+        Budget of trial steps (accepted or rejected). The fit has converged
+        when ``||step|| <= STEP_TOL * (STEP_TOL + ||params||)`` or the
+        gradient infinity-norm falls below ``GRAD_TOL``.
 
     Returns
     -------
@@ -85,7 +81,7 @@ def fit_damped_least_squares(
     while not converged:
         jac = jacobian_fn(p)
         grad = jac.T @ r
-        if np.max(np.abs(grad)) < grad_tol:
+        if np.max(np.abs(grad)) < GRAD_TOL:
             break
         hess = jac.T @ jac
         diag = np.diag(hess).copy()
@@ -110,7 +106,7 @@ def fit_damped_least_squares(
                 if np.isfinite(ssr_try) and ssr_try <= ssr:
                     p, r, ssr = p_try, r_try, ssr_try
                     lam = max(lam / DAMPING_SHRINK, DAMPING_MIN)
-                    if np.linalg.norm(step) <= step_tol * (step_tol + np.linalg.norm(p)):
+                    if np.linalg.norm(step) <= STEP_TOL * (STEP_TOL + np.linalg.norm(p)):
                         converged = True
                     accepted = True
             if accepted:

@@ -43,15 +43,6 @@ class GradCalibration:
         if not (self.f1_hz > 0 and self.f2_hz > 0):
             raise InvalidParameterError("channel bandwidths must be positive")
 
-    def as_dict(self) -> dict:
-        return {
-            "amplitude_ratio": self.amplitude_ratio,
-            "f1_hz": self.f1_hz,
-            "f2_hz": self.f2_hz,
-            "tone_freq_hz": self.tone_freq_hz,
-            "tone_amp_t": self.tone_amp_t,
-        }
-
 
 @dataclass(frozen=True)
 class PhasePoint:

@@ -12,11 +12,12 @@ import json
 import os
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from .constants import HBAR, K_BOLTZMANN, MU0
-from .errors import GeometryError, InvalidParameterError
+from .errors import ConfigError, GeometryError, InvalidParameterError
 
 DATA_DIR_ENV = "SERFKIT_DATA_DIR"
 
@@ -105,35 +106,26 @@ def dipole_field(spec: SampleSpec) -> float:
     return float(MU0 / (4.0 * np.pi) * 2.0 * moment / spec.distance_m**3)
 
 
-def data_dir_path():
-    """Bundled data directory, overridable through SERFKIT_DATA_DIR."""
+def load_isotopes() -> dict[str, Isotope]:
+    """Load the bundled isotope table (gamma, spin, natural abundance).
+
+    ``SERFKIT_DATA_DIR`` names a directory whose ``isotopes.json`` is read
+    instead. Entries are checked like configs.
+    """
+    # Imported here so that ``import serfkit`` does not load the I/O layer.
+    from .dataio import _from_json
+
     override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        return override
-    return resources.files("serfkit").joinpath("data")
-
-
-def load_isotopes(path=None) -> dict[str, Isotope]:
-    """Load the bundled isotope table (gamma, spin, natural abundance)."""
-    if path is None:
-        source = data_dir_path()
-        if isinstance(source, str):
-            with open(os.path.join(source, "isotopes.json"), encoding="utf-8") as fh:
-                raw = json.load(fh)
-        else:
-            raw = json.loads(source.joinpath("isotopes.json").read_text(encoding="utf-8"))
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    table = {}
-    for symbol, entry in raw["isotopes"].items():
-        table[symbol] = Isotope(
-            symbol=symbol,
-            gyromag_rad_s_t=entry["gyromag_rad_s_t"],
-            spin=entry["spin"],
-            natural_abundance=entry["natural_abundance"],
-        )
-    return table
+    source = Path(override) if override else resources.files("serfkit") / "data"
+    table = source.joinpath("isotopes.json")
+    raw = json.loads(table.read_text(encoding="utf-8"))
+    entries = raw.get("isotopes") if isinstance(raw, dict) else None
+    if not isinstance(entries, dict):
+        raise ConfigError(f"{table}: needs an \"isotopes\" object")
+    return {
+        symbol: _from_json(Isotope, entry, f"{table}: isotope {symbol}", symbol=symbol)
+        for symbol, entry in entries.items()
+    }
 
 
 def water_proton_sample(

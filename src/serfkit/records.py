@@ -35,10 +35,3 @@ class TwoChannelRecord:
 
     def __len__(self) -> int:
         return len(self.top_t)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.top_t) / self.sample_rate_hz
-
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.top_t)) / self.sample_rate_hz

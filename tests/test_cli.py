@@ -405,3 +405,55 @@ def test_calibrate_timestamp_gap_exits_2(capsys, tmp_path):
     assert "not uniformly sampled: step of 5.001 s after t = 29.999 s" in err
     assert "SNR" not in err
     assert not out.exists()
+
+
+def _assert_one_error_line(capsys, code, out):
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+GOOD_CAL = {"amplitude_ratio": 0.99, "f1_hz": 49.9, "f2_hz": 68.8,
+            "tone_freq_hz": 10.0, "tone_amp_t": 16e-12}
+
+
+@pytest.mark.parametrize(
+    "cal",
+    [
+        {**GOOD_CAL, "amplitude_ratio": "abc"},
+        [1, 2],
+        {**GOOD_CAL, "f1_hz": None},
+        {**GOOD_CAL, "tone_freq_hz": "x"},
+        {**GOOD_CAL, "bogus": 1},
+    ],
+)
+def test_subtract_bad_calibration_exits_2(capsys, tmp_path, cal):
+    rng = np.random.default_rng(0)
+    record = TwoChannelRecord(FS, rng.normal(0.0, 1e-12, 2048), rng.normal(0.0, 1e-12, 2048))
+    dataio.write_record_csv(tmp_path / "rec.csv", record)
+    (tmp_path / "cal.json").write_text(json.dumps(cal))
+    out = tmp_path / "diff.csv"
+    code = main(["subtract", "--in", str(tmp_path / "rec.csv"),
+                 "--cal", str(tmp_path / "cal.json"), "--out", str(out)])
+    _assert_one_error_line(capsys, code, out)
+
+
+PROTON = {"gyromag_rad_s_t": 267522187.44, "spin": 0.5, "natural_abundance": 0.99986}
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"isotopes": {"1H": {"gyromag_rad_s_t": 267522187.44, "spin": 0.5}}},
+        {"version": 1, "1H": PROTON},
+        {"isotopes": {"1H": {**PROTON, "gyromag_rad_s_t": "x"}}},
+    ],
+)
+def test_nmr_estimate_bad_isotope_table_exits_2(capsys, tmp_path, monkeypatch, table):
+    (tmp_path / "isotopes.json").write_text(json.dumps(table))
+    monkeypatch.setenv("SERFKIT_DATA_DIR", str(tmp_path))
+    out = tmp_path / "estimate.json"
+    code = main(["nmr-estimate", "--isotope", "1H", "--out", str(out)])
+    _assert_one_error_line(capsys, code, out)

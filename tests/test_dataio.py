@@ -284,6 +284,32 @@ def test_block_writes_match_whole_table_format(tmp_path, n_rows):
     assert path.read_bytes() == _whole_table_csv(header, columns)
 
 
+@pytest.mark.parametrize(
+    "n_rows",
+    [1, dataio._WRITE_BLOCK_ROWS - 1, dataio._WRITE_BLOCK_ROWS, dataio._WRITE_BLOCK_ROWS + 1],
+)
+def test_series_write_matches_whole_table_format(tmp_path, n_rows):
+    fs = 997.0
+    values = np.random.default_rng(n_rows).normal(0.0, 1e-12, n_rows)
+    path = tmp_path / "series.csv"
+    dataio.write_series_csv(path, fs, values)
+    header = ("t_s", "value_t")
+    assert path.read_bytes() == _whole_table_csv(header, [np.arange(n_rows) / fs, values])
+
+
+def test_series_write_memory_is_bounded(tmp_path):
+    # 200 k rows, so that the fixed cost of one formatted block stays well
+    # below half of the values array.
+    values = np.random.default_rng(6).normal(0.0, 1e-12, 200_000)
+    tracemalloc.start()
+    try:
+        dataio.write_series_csv(tmp_path / "series.csv", 1000.0, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * values.nbytes
+
+
 def test_record_write_memory_is_bounded(tmp_path):
     n = 300_000
     rng = np.random.default_rng(5)
