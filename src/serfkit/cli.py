@@ -421,7 +421,7 @@ def main(argv=None) -> int:
     except FitFailureError as err:
         print(f"fit failed: {err}", file=sys.stderr)
         return EXIT_FIT_FAILURE
-    except (OSError, json.JSONDecodeError) as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

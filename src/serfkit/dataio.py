@@ -65,28 +65,35 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    with open(path, "rb") as fh:
+        return _parse_json(fh.read(), path)
 
 
-def _channel_gains(value) -> tuple[float, float]:
-    gains = tuple(float(g) for g in value)
-    if len(gains) != 2:
-        raise ConfigError("channel_gains must hold exactly two values")
-    return gains
+def _parse_json(data: bytes, source):
+    """JSON value of UTF-8 ``data``; syntax and encoding errors name ``source``."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{source}: {err}") from None
 
 
-def _sensor_asd(value):
-    return tuple(float(s) for s in value) if isinstance(value, list) else float(value)
+def _floats(value, n: int) -> tuple[float, ...]:
+    """``value`` as a tuple of exactly ``n`` floats."""
+    out = tuple(float(v) for v in value)
+    if len(out) != n:
+        raise ValueError(f"expected {n} values, got {len(out)}")
+    return out
 
 
 # JSON values are coerced to float unless their field is listed here.
 _CONVERTERS = {
     "seed": int,
-    "channel_gains": _channel_gains,
-    "tones": lambda value: tuple((float(f), float(a), float(p)) for f, a, p in value),
+    "channel_gains": lambda value: _floats(value, 2),
+    "tones": lambda value: tuple(_floats(tone, 3) for tone in value),
     "noise": lambda value: _from_json(NoiseModel, value, "noise config"),
-    "sensor_asd_t_sqrthz": _sensor_asd,
+    "sensor_asd_t_sqrthz": lambda value: (
+        _floats(value, 2) if isinstance(value, list) else float(value)
+    ),
 }
 
 
@@ -118,8 +125,13 @@ def _from_json(cls, raw, what: str, **overrides):
     ]
     if missing:
         raise ConfigError(f"{what}: requires {', '.join(missing)}")
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = _CONVERTERS.get(key, float)(value)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ConfigError(f"{what}: bad value for {key}: {err}") from None
     try:
-        values = {key: _CONVERTERS.get(key, float)(value) for key, value in raw.items()}
         return cls(**{**values, **overrides})
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{what}: bad value: {err}") from None

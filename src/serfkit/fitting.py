@@ -128,10 +128,21 @@ def fit_damped_least_squares(
 
 
 def covariance_from_jacobian(jac: np.ndarray, ssr: float) -> np.ndarray:
-    """Parameter covariance ``ssr/dof * (J^T J)^+``, symmetrized."""
+    """Parameter covariance ``ssr/dof * (J^T J)^+``, symmetrized.
+
+    The pseudo-inverse is taken with the columns scaled to unit norm,
+    ``D^-1 ((J D^-1)^T (J D^-1))^+ D^-1`` with ``D`` the column norms (the
+    scaling of MINPACK's Levenberg-Marquardt). Unscaled, a parameter in Hz
+    near 1e14 gives a column some 1e-11 the size of a baseline's, and the
+    pseudo-inverse cutoff zeroes its variance. An all-zero column gets zero
+    variance either way.
+    """
     m, n = jac.shape
     dof = max(m - n, 1)
-    cov = (ssr / dof) * np.linalg.pinv(jac.T @ jac)
+    norms = np.linalg.norm(jac, axis=0)
+    norms[norms == 0.0] = 1.0
+    scaled = jac / norms
+    cov = (ssr / dof) * np.linalg.pinv(scaled.T @ scaled) / np.outer(norms, norms)
     return 0.5 * (cov + cov.T)
 
 

@@ -232,16 +232,30 @@ def reduction_ratio(
     cal: GradCalibration,
     tone_freq_hz: float,
     phase_correct: bool = True,
+    *,
+    difference: np.ndarray | None = None,
 ) -> float:
     """Tone amplitude in the top channel over its residual after subtraction.
 
     Infinite when the residual vanishes (perfectly matched channels).
 
+    A caller that already holds the gradiometric difference passes it as
+    ``difference``, which must equal ``subtract(record, cal,
+    phase_correct=phase_correct)``; the subtraction is then not run again
+    and the result is the same float. The array is only read, never
+    changed. Its length is checked, its values are not.
+
     Raises
     ------
     MissingToneError
         Tone not present in the input record.
+    InvalidParameterError
+        ``difference`` is not a series of the record's length.
     """
+    if difference is not None and np.shape(difference) != (len(record),):
+        raise InvalidParameterError(
+            f"difference has shape {np.shape(difference)}, expected ({len(record)},)"
+        )
     window = hann_window(len(record))
     window_sum = float(window.sum())
     bin_width_hz = record.sample_rate_hz / len(record)
@@ -250,8 +264,11 @@ def reduction_ratio(
     _tone_gate(mag_top, k, tone_freq_hz, " in top channel")
     top_amp = _tone_amplitude(mag_top, window_sum, bin_width_hz, tone_freq_hz)
     del mag_top
-    diff = subtract(record, cal, phase_correct=phase_correct)
-    diff *= window
+    if difference is None:
+        diff = subtract(record, cal, phase_correct=phase_correct)
+        diff *= window
+    else:
+        diff = difference * window
     del window
     residual_amp = _tone_amplitude(
         np.abs(np.fft.rfft(diff)), window_sum, bin_width_hz, tone_freq_hz

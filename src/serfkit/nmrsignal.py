@@ -8,7 +8,6 @@ gyromagnetic ratio, which is a deliberate simplification.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -113,12 +112,12 @@ def load_isotopes() -> dict[str, Isotope]:
     instead. Entries are checked like configs.
     """
     # Imported here so that ``import serfkit`` does not load the I/O layer.
-    from .dataio import _from_json
+    from .dataio import _from_json, _parse_json
 
     override = os.environ.get(DATA_DIR_ENV)
     source = Path(override) if override else resources.files("serfkit") / "data"
     table = source.joinpath("isotopes.json")
-    raw = json.loads(table.read_text(encoding="utf-8"))
+    raw = _parse_json(table.read_bytes(), table)
     entries = raw.get("isotopes") if isinstance(raw, dict) else None
     if not isinstance(entries, dict):
         raise ConfigError(f"{table}: needs an \"isotopes\" object")

@@ -457,3 +457,72 @@ def test_nmr_estimate_bad_isotope_table_exits_2(capsys, tmp_path, monkeypatch, t
     out = tmp_path / "estimate.json"
     code = main(["nmr-estimate", "--isotope", "1H", "--out", str(out)])
     _assert_one_error_line(capsys, code, out)
+
+
+def test_truncated_calibration_json_names_the_file(tmp_path):
+    # A separate interpreter, so that the stderr line is exactly what users see.
+    rng = np.random.default_rng(0)
+    record = TwoChannelRecord(FS, rng.normal(0.0, 1e-12, 2048), rng.normal(0.0, 1e-12, 2048))
+    dataio.write_record_csv(tmp_path / "rec.csv", record)
+    cal = tmp_path / "cal.json"
+    cal.write_text('{"amplitude_ratio": 0.99,\n')
+    out = tmp_path / "diff.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(serfkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "serfkit", "subtract", "--in", str(tmp_path / "rec.csv"),
+         "--cal", str(cal), "--out", str(out)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.splitlines() == [
+        f"error: {cal}: Expecting property name enclosed in double quotes: "
+        "line 2 column 1 (char 26)"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b'{"sample_rate_hz": 1000.0,', "Expecting property name enclosed in double quotes: "
+                                        "line 1 column 27 (char 26)"),
+        (b'{"seed": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 10: "
+                              "invalid start byte"),
+    ],
+    ids=["truncated", "not_utf8"],
+)
+def test_unparsable_config_names_the_file(capsys, tmp_path, body, message):
+    cfg = tmp_path / "sim.json"
+    cfg.write_bytes(body)
+    out = tmp_path / "rec.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+def test_truncated_isotope_table_names_the_file(capsys, tmp_path, monkeypatch):
+    table = tmp_path / "isotopes.json"
+    table.write_text('{"isotopes": {"1H": ')
+    monkeypatch.setenv("SERFKIT_DATA_DIR", str(tmp_path))
+    assert main(["nmr-estimate", "--isotope", "1H"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: {table}: Expecting value: line 1 column 21 (char 20)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"noise": {"sensor_asd_t_sqrthz": [1, 2, 3]}},
+         "noise config: bad value for sensor_asd_t_sqrthz: expected 2 values, got 3"),
+        ({"tones": [[1, 2]]}, "simulate config: bad value for tones: expected 3 values, got 2"),
+    ],
+    ids=["sensor_asd", "tones"],
+)
+def test_bad_nested_config_value_names_the_field(capsys, tmp_path, extra, message):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"sample_rate_hz": FS, "duration_s": 10.0, **extra}))
+    out = tmp_path / "rec.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from serfkit.errors import FitFailureError
-from serfkit.fitting import fit_damped_least_squares, fit_weighted_linear
+from serfkit.fitting import (
+    covariance_from_jacobian,
+    fit_damped_least_squares,
+    fit_weighted_linear,
+)
 
 
 def _quadratic_problem(target):
@@ -94,3 +98,21 @@ def test_weighted_linear_downweights_outlier():
     weights[5] = 1e-12
     beta, _, _ = fit_weighted_linear(design, y_out, weights)
     assert beta == pytest.approx([2.0, 1.0], rel=1e-6)
+
+
+def test_covariance_follows_parameter_units():
+    # Rescaling a parameter by s rescales its Jacobian column by 1/s and its
+    # variance by s^2, even when the columns differ by many orders of magnitude.
+    rng = np.random.default_rng(2)
+    jac = rng.normal(size=(40, 3))
+    scale = np.array([1e11, 1.0, 1e-3])
+    expected = covariance_from_jacobian(jac, 2.0) * np.outer(scale, scale)
+    np.testing.assert_allclose(covariance_from_jacobian(jac / scale, 2.0), expected, rtol=1e-9)
+
+
+def test_covariance_of_zero_column_is_zero():
+    jac = np.column_stack([np.linspace(0.0, 1.0, 10), np.zeros(10)])
+    cov = covariance_from_jacobian(jac, 1.0)
+    assert np.all(np.isfinite(cov))
+    assert cov[1, 1] == 0.0 and cov[0, 1] == 0.0
+    assert cov[0, 0] > 0.0

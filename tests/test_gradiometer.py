@@ -343,3 +343,26 @@ def test_subtract_without_calibration_tone_matches_reference():
     rec = tone_record(n=8191, bottom_gain=0.97, noise=1e-14, seed=9)
     cal = GradCalibration(1.02, F1, F2)
     assert np.array_equal(subtract(rec, cal), _reference_subtract(rec, cal))
+
+
+@pytest.mark.parametrize("name", ["odd_n", *sorted(REFERENCE_CONFIGS)])
+def test_reduction_ratio_given_difference_matches_default_path(name):
+    if name == "odd_n":
+        rec = tone_record(n=8191, bottom_gain=0.97, noise=1e-14, seed=9)
+    else:
+        rec = simulate_record(REFERENCE_CONFIGS[name])
+    cal = GradCalibration(amplitude_ratio(rec, 10.0), F1, F2, tone_freq_hz=10.0)
+    for phase in (True, False):
+        diff = subtract(rec, cal, phase_correct=phase)
+        before = diff.copy()
+        given = reduction_ratio(rec, cal, 10.0, phase_correct=phase, difference=diff)
+        assert given == reduction_ratio(rec, cal, 10.0, phase_correct=phase)
+        assert np.array_equal(diff, before)
+
+
+@pytest.mark.parametrize("shape", [(8191,), (8193,), (2, 8192)])
+def test_reduction_ratio_rejects_difference_of_wrong_shape(shape):
+    rec = tone_record(n=8192, bottom_gain=0.97, noise=1e-14, seed=9)
+    cal = GradCalibration(1.0, F1, F2, tone_freq_hz=10.0)
+    with pytest.raises(InvalidParameterError, match="difference has shape"):
+        reduction_ratio(rec, cal, 10.0, difference=np.zeros(shape))

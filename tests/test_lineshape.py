@@ -1,8 +1,11 @@
 """Lorentzian evaluation and fitting tests."""
 
+import math
+
 import numpy as np
 import pytest
 
+from serfkit.constants import K_D1_FREQ_HZ
 from serfkit.errors import (
     DegenerateDataError,
     InsufficientCoverageError,
@@ -195,3 +198,42 @@ class TestFitResult:
         fit = fit_lorentzian(sweep)
         assert np.allclose(fit.covariance, fit.covariance.T)
         assert np.all(np.linalg.eigvalsh(fit.covariance) >= -1e-25)
+
+
+# The demo's absorption sweep: 401 points across the K D1 line, noise 0.2 % of
+# the depth.
+ABSORPTION_TRUTH = np.array([K_D1_FREQ_HZ + 1.916e9, 31.878e9, -0.9, 1.0])
+ABSORPTION_NOISE = 0.0018
+ABSORPTION_SEEDS = range(300)
+
+
+@pytest.fixture(scope="module")
+def absorption_fits():
+    """Estimates and reported 1-sigma errors over seeded absorption sweeps, (seeds, 4) each."""
+    freqs = np.linspace(389.24e12, 389.34e12, 401)
+    clean = eval_lorentzian(*ABSORPTION_TRUTH, freqs)
+    estimates, sigmas = [], []
+    for seed in ABSORPTION_SEEDS:
+        noise = np.random.default_rng(seed).normal(0.0, ABSORPTION_NOISE, len(freqs))
+        fit = fit_lorentzian(FrequencySweep(freqs, clean + noise))
+        estimates.append([fit.center_hz, fit.hwhm_hz, fit.amplitude, fit.baseline])
+        sigmas.append(np.sqrt(np.diag(fit.covariance)))
+    return np.array(estimates), np.array(sigmas)
+
+
+class TestAbsorptionUncertainty:
+    def test_center_sigma_matches_seeded_scatter(self, absorption_fits):
+        estimates, sigmas = absorption_fits
+        assert np.all(np.isfinite(sigmas[:, 0]))
+        scatter = float(np.std(estimates[:, 0]))
+        assert scatter / 2.0 < float(np.median(sigmas[:, 0])) < 2.0 * scatter
+
+    @pytest.mark.parametrize("index", range(4), ids=["center", "hwhm", "amplitude", "baseline"])
+    def test_one_sigma_coverage(self, absorption_fits, index):
+        estimates, sigmas = absorption_fits
+        z = (estimates[:, index] - ABSORPTION_TRUTH[index]) / sigmas[:, index]
+        # 397 degrees of freedom: P(|t| < 1) is the normal value to within 1e-3.
+        expected = math.erf(1.0 / math.sqrt(2.0))
+        n = len(z)
+        bound = 4.0 * math.sqrt(expected * (1.0 - expected) / n)
+        assert abs(np.mean(np.abs(z) < 1.0) - expected) < bound

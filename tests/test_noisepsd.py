@@ -181,3 +181,19 @@ class TestPsdEstimate:
         with pytest.raises(InvalidParameterError):
             PsdEstimate(np.arange(5.0), np.array([1.0, -1.0, 1.0, 1.0, 1.0]),
                         64, 0.5, "hann", 1)
+
+
+@pytest.mark.parametrize(
+    "n, segment_len, overlap",
+    [(60000, 4096, 0.5), (10001, 1000, 0.25), (4097, 4096, 0.0), (5000, 255, 0.9)],
+)
+def test_welch_asd_matches_scipy(n, segment_len, overlap):
+    signal = pytest.importorskip("scipy.signal")
+    x = white_noise(n=n, seed=n)
+    psd = welch_asd(x, FS, segment_len=segment_len, overlap_fraction=overlap)
+    freqs, pxx = signal.welch(
+        x, FS, window="hann", nperseg=segment_len,
+        noverlap=int(overlap * segment_len), detrend=False,
+    )
+    np.testing.assert_allclose(psd.freqs_hz, freqs, rtol=1e-12)
+    np.testing.assert_allclose(psd.asd_t_sqrthz, np.sqrt(pxx), rtol=1e-12)
