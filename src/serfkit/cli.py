@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, dataio, demo
+from . import __version__, dataio, demo, noisepsd, serf
 from .cellchem import GasCoefficients, solve_composition
 from .errors import FitFailureError, InvalidParameterError, ValidationError
 from .gradiometer import GradCalibration, amplitude_ratio, fit_phase_model, subtract
@@ -109,7 +109,8 @@ def _finish(args, result: dict, params: dict, write=None, seed=None) -> int:
 
 def _cmd_simulate(args) -> int:
     seed = {} if args.seed is None else {"seed": args.seed}
-    cfg = dataio._from_json(SimConfig, dataio.read_json(args.config), "simulate config", **seed)
+    raw = dataio.read_json(args.config)
+    cfg = dataio._from_json(SimConfig, raw, f"simulate config {args.config}", **seed)
     record = simulate_record(cfg)
     return _finish(
         args,
@@ -129,7 +130,7 @@ def _cmd_gas_solve(args) -> int:
     coeffs = None
     if args.config:
         raw = dataio.read_json(args.config)
-        coeffs = dataio._from_json(GasCoefficients, raw, "coefficient config")
+        coeffs = dataio._from_json(GasCoefficients, raw, f"coefficient config {args.config}")
     comp = solve_composition(args.shift_ghz, args.width_ghz, coeffs)
     return _finish(
         args,
@@ -144,8 +145,7 @@ def _cmd_fit_serf(args) -> int:
         points,
         nuclear_spin_i=args.nuclear_spin,
         slowing_q=args.slowing_q,
-        fit_intrinsic=args.intrinsic is None,
-        intrinsic_hwhm_hz=args.intrinsic if args.intrinsic is not None else 0.0,
+        intrinsic_hwhm_hz=args.intrinsic,
     )
     result = {
         "t_se_s": fit.t_se_s,
@@ -235,7 +235,8 @@ def _cmd_phase_fit(args) -> int:
 
 def _sample_from_args(args) -> SampleSpec:
     if args.config:
-        return dataio._from_json(SampleSpec, dataio.read_json(args.config), "sample config")
+        raw = dataio.read_json(args.config)
+        return dataio._from_json(SampleSpec, raw, f"sample config {args.config}")
     isotopes = load_isotopes()
     if args.isotope not in isotopes:
         raise InvalidParameterError(
@@ -320,16 +321,18 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--in", dest="in_path", required=True, help="points CSV (resonance_hz,hwhm_hz[,weight])"
     )
-    p.add_argument("--nuclear-spin", type=float, default=1.5)
-    p.add_argument("--slowing-q", type=float, default=6.0)
+    p.add_argument("--nuclear-spin", type=float, default=serf.DEFAULT_NUCLEAR_SPIN)
+    p.add_argument("--slowing-q", type=float, default=serf.DEFAULT_SLOWING_Q)
     p.add_argument(
         "--intrinsic",
         type=float,
         default=None,
         help="hold the zero-field linewidth fixed at this value instead of co-fitting",
     )
-    p.add_argument("--vbar", type=float, default=500.0, help="relative thermal velocity m/s")
-    p.add_argument("--sigma-se", type=float, default=2e-14, help="spin-exchange cross section cm^2")
+    p.add_argument("--vbar", type=float, default=serf.DEFAULT_VBAR_M_S,
+                   help="relative thermal velocity m/s")
+    p.add_argument("--sigma-se", type=float, default=serf.DEFAULT_SIGMA_SE_CM2,
+                   help="spin-exchange cross section cm^2")
     p.add_argument("--out", required=True, help="fit result JSON")
     p.set_defaults(handler=_cmd_fit_serf)
 
@@ -342,8 +345,8 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--channel", choices=("top", "bottom"), default="top",
                    help="channel to use when the input is a two-channel record")
-    p.add_argument("--segment-len", type=int, default=4096)
-    p.add_argument("--overlap", type=float, default=0.5)
+    p.add_argument("--segment-len", type=int, default=noisepsd.DEFAULT_SEGMENT_LEN)
+    p.add_argument("--overlap", type=float, default=noisepsd.DEFAULT_OVERLAP)
     p.add_argument(
         "--calibrate-tone",
         type=_pair("tone", "freq_hz:amp_t"),

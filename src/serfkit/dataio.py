@@ -90,7 +90,7 @@ _CONVERTERS = {
     "seed": int,
     "channel_gains": lambda value: _floats(value, 2),
     "tones": lambda value: tuple(_floats(tone, 3) for tone in value),
-    "noise": lambda value: _from_json(NoiseModel, value, "noise config"),
+    "noise": lambda value: _from_json(NoiseModel, value, "noise"),
     "sensor_asd_t_sqrthz": lambda value: (
         _floats(value, 2) if isinstance(value, list) else float(value)
     ),
@@ -129,6 +129,8 @@ def _from_json(cls, raw, what: str, **overrides):
     for key, value in raw.items():
         try:
             values[key] = _CONVERTERS.get(key, float)(value)
+        except ConfigError as err:  # from a nested object, e.g. "noise"
+            raise ConfigError(f"{what}: {err}") from None
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"{what}: bad value for {key}: {err}") from None
     try:
@@ -198,20 +200,23 @@ def _parse_rows(path, lo, hi):
     """Row-by-row parse with ``path:line`` errors; rows hold lo to hi fields."""
     expected = str(lo) if lo == hi else f"{lo} to {hi}"
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if not lo <= len(row) <= hi:
-                raise InvalidParameterError(
-                    f"{path}:{lineno}: expected {expected} columns, got {len(row)}"
-                )
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as err:
-                raise InvalidParameterError(f"{path}:{lineno}: {err}") from None
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if not lo <= len(row) <= hi:
+                    raise InvalidParameterError(
+                        f"{path}:{lineno}: expected {expected} columns, got {len(row)}"
+                    )
+                try:
+                    rows.append([float(c) for c in row])
+                except ValueError as err:
+                    raise InvalidParameterError(f"{path}:{lineno}: {err}") from None
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
     if not rows:
         raise InvalidParameterError(f"{path}: no data rows")
     return rows
@@ -288,6 +293,23 @@ def csv_header(path) -> list[str]:
             return [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise InvalidParameterError(f"{path}: empty file") from None
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
+
+
+def _utf8_error(path) -> InvalidParameterError:
+    """``path:line`` error for the first line of ``path`` that is not UTF-8.
+
+    A text read decodes whole chunks, so its error gives neither the line
+    nor the offset in the file; decoding line by line gives both.
+    """
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as err:
+                return InvalidParameterError(f"{path}:{lineno}: {err}")
+    return InvalidParameterError(f"{path}: not UTF-8")
 
 
 def read_linewidth_points_csv(path) -> list[LinewidthPoint]:

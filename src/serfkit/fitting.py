@@ -35,15 +35,16 @@ def fit_damped_least_squares(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
     p0,
-    *,
-    max_iter: int = MAX_ITER,
 ) -> LeastSquaresResult:
     """Minimize sum(residual**2) by a damped Gauss-Newton iteration.
 
     The normal equations are regularized with ``lambda * diag(J^T J)``
     (Marquardt scaling), which makes the step invariant under per-parameter
     rescaling; this matters here because line centers and widths differ by
-    four orders of magnitude.
+    four orders of magnitude. The fit has converged when ``||step|| <=
+    STEP_TOL * (STEP_TOL + ||params||)`` or the gradient infinity-norm falls
+    below ``GRAD_TOL``; ``MAX_ITER`` bounds the trial steps, accepted or
+    rejected.
 
     Parameters
     ----------
@@ -53,10 +54,6 @@ def fit_damped_least_squares(
         Maps a parameter vector to the (m, n) Jacobian of the residuals.
     p0 : array_like
         Starting parameter vector.
-    max_iter : int
-        Budget of trial steps (accepted or rejected). The fit has converged
-        when ``||step|| <= STEP_TOL * (STEP_TOL + ||params||)`` or the
-        gradient infinity-norm falls below ``GRAD_TOL``.
 
     Returns
     -------
@@ -88,7 +85,7 @@ def fit_damped_least_squares(
         diag[diag <= 0.0] = 1.0
 
         while True:
-            if trials >= max_iter:
+            if trials >= MAX_ITER:
                 raise FitFailureError(
                     f"no convergence after {trials} trial steps",
                     params=p,

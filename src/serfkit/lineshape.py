@@ -195,11 +195,11 @@ def _fit(sweep: FrequencySweep, p0: np.ndarray) -> LorentzianFit:
     )
 
 
-def fit_lorentzian(sweep: FrequencySweep, init: LorentzianFit | None = None) -> LorentzianFit:
+def fit_lorentzian(sweep: FrequencySweep) -> LorentzianFit:
     """Fit a Lorentzian with constant baseline to a sweep.
 
     Works for dips (negative amplitude, e.g. transmission spectra) and
-    peaks alike. Self-initializes when ``init`` is omitted.
+    peaks alike. Self-initializes from the sweep.
 
     Raises
     ------
@@ -209,11 +209,7 @@ def fit_lorentzian(sweep: FrequencySweep, init: LorentzianFit | None = None) -> 
         On non-convergence; best-so-far parameters ride on the exception.
     """
     _check_degenerate(sweep.values)
-    if init is not None:
-        p0 = np.array([init.center_hz, init.hwhm_hz, init.amplitude, init.baseline])
-    else:
-        p0 = _seed(sweep)
-    return _fit(sweep, p0)
+    return _fit(sweep, _seed(sweep))
 
 
 def fit_response_curve(sweep: FrequencySweep) -> LorentzianFit:

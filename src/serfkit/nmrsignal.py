@@ -127,21 +127,16 @@ def load_isotopes() -> dict[str, Isotope]:
     }
 
 
-def water_proton_sample(
-    volume_m3: float = 200e-9,
-    prepol_field_t: float = 2.0,
-    temperature_k: float = 300.0,
-    distance_m: float = 0.01,
-) -> SampleSpec:
-    """Reference sample: protons in liquid water (6.7e28 m^-3)."""
+def water_proton_sample() -> SampleSpec:
+    """Reference sample: 200 uL of water protons (6.7e28 m^-3), 2 T, 300 K, 1 cm away."""
     isotope = load_isotopes()["1H"]
     return SampleSpec(
-        volume_m3=volume_m3,
+        volume_m3=200e-9,
         spin_density_per_m3=6.7e28,
         natural_abundance=isotope.natural_abundance,
         gyromag_rad_s_t=isotope.gyromag_rad_s_t,
         spin=isotope.spin,
-        prepol_field_t=prepol_field_t,
-        temperature_k=temperature_k,
-        distance_m=distance_m,
+        prepol_field_t=2.0,
+        temperature_k=300.0,
+        distance_m=0.01,
     )

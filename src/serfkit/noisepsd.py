@@ -35,15 +35,13 @@ TONE_MIN_SNR = 10.0
 
 @dataclass(frozen=True)
 class PsdEstimate:
-    """One-sided amplitude spectral density with its estimation metadata."""
+    """One-sided, Hann-windowed, power-normalized ASD with its estimation metadata."""
 
     freqs_hz: np.ndarray
     asd_t_sqrthz: np.ndarray
     segment_len: int
     overlap_fraction: float
-    window_name: str
     n_averages: int
-    parseval_normalized: bool = True
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs_hz, dtype=float)
@@ -120,7 +118,6 @@ def welch_asd(
         asd_t_sqrthz=np.sqrt(psd),
         segment_len=segment_len,
         overlap_fraction=overlap_fraction,
-        window_name="hann",
         n_averages=n_avg,
     )
 

@@ -38,8 +38,6 @@ class SerfParams:
     slowing_q: float = DEFAULT_SLOWING_Q
     t_se_s: float = 8.6e-6
     intrinsic_hwhm_hz: float = 0.0
-    vbar_m_s: float = DEFAULT_VBAR_M_S
-    sigma_se_cm2: float = DEFAULT_SIGMA_SE_CM2
 
     def __post_init__(self):
         two_i = 2.0 * self.nuclear_spin_i
@@ -51,8 +49,6 @@ class SerfParams:
             raise InvalidParameterError("t_se_s must be positive")
         if self.intrinsic_hwhm_hz < 0:
             raise InvalidParameterError("intrinsic_hwhm_hz must be nonnegative")
-        if not self.vbar_m_s > 0 or not self.sigma_se_cm2 > 0:
-            raise InvalidParameterError("vbar and sigma_se must be positive")
 
 
 @dataclass(frozen=True)
@@ -120,21 +116,19 @@ def fit_tse(
     points,
     nuclear_spin_i: float = DEFAULT_NUCLEAR_SPIN,
     slowing_q: float = DEFAULT_SLOWING_Q,
-    fit_intrinsic: bool = True,
-    intrinsic_hwhm_hz: float = 0.0,
+    intrinsic_hwhm_hz: float | None = None,
 ) -> TseFit:
     """Fit the spin-exchange time from (resonance, linewidth) measurements.
 
     The model is linear in resonance_hz**2, so this is a weighted linear
-    least squares with slope ``2*pi*factor*T_SE``. With ``fit_intrinsic``
-    the zero-field linewidth is co-fitted; otherwise it is held at
-    ``intrinsic_hwhm_hz``.
+    least squares with slope ``2*pi*factor*T_SE``. The zero-field linewidth
+    is co-fitted when ``intrinsic_hwhm_hz`` is None and held at it otherwise.
 
     Raises
     ------
     InvalidParameterError
-        Fewer than 3 points, or resonance frequencies spanning less than a
-        factor 2.
+        Fewer than 3 points, resonance frequencies spanning less than a
+        factor 2, or a held intrinsic width that is negative or not finite.
     FitFailureError
         If the fitted T_SE comes out nonpositive (data inconsistent with
         spin-exchange broadening).
@@ -149,11 +143,13 @@ def fit_tse(
         weights = np.array([p.weight if p.weight is not None else 1.0 for p in points])
     if nu.max() < 2.0 * nu.min():
         raise InvalidParameterError("resonance frequencies must span at least a factor 2")
+    if intrinsic_hwhm_hz is not None and not 0.0 <= intrinsic_hwhm_hz < np.inf:
+        raise InvalidParameterError("intrinsic_hwhm_hz must be finite and nonnegative")
 
     factor = se_broadening_factor(nuclear_spin_i, slowing_q)
     x = nu**2
     cov = np.zeros((2, 2))
-    if fit_intrinsic:
+    if intrinsic_hwhm_hz is None:
         design = np.column_stack([x, np.ones_like(x)])
         beta, cov_lin, _ = fit_weighted_linear(design, hwhm, weights)
         slope, intercept = beta

@@ -513,9 +513,10 @@ def test_truncated_isotope_table_names_the_file(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ({"noise": {"sensor_asd_t_sqrthz": [1, 2, 3]}},
-         "noise config: bad value for sensor_asd_t_sqrthz: expected 2 values, got 3"),
-        ({"tones": [[1, 2]]}, "simulate config: bad value for tones: expected 3 values, got 2"),
+        ({"noise": {"sensor_asd_t_sqrthz": [1, 2, 3]}}, "simulate config {cfg}: noise: "
+         "bad value for sensor_asd_t_sqrthz: expected 2 values, got 3"),
+        ({"tones": [[1, 2]]},
+         "simulate config {cfg}: bad value for tones: expected 3 values, got 2"),
     ],
     ids=["sensor_asd", "tones"],
 )
@@ -524,5 +525,34 @@ def test_bad_nested_config_value_names_the_field(capsys, tmp_path, extra, messag
     cfg.write_text(json.dumps({"sample_rate_hz": FS, "duration_s": 10.0, **extra}))
     out = tmp_path / "rec.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "header, line, position",
+    [
+        ("t_s,top_t,bottom_t", 1, 4),
+        ("t_s,top_t,bottom_t", 1501, 6),
+        ("t_s,value_t", 1, 4),
+        ("t_s,value_t", 1501, 6),
+    ],
+    ids=["record_header", "record_row", "series_header", "series_row"],
+)
+def test_csv_not_utf8_exits_2_naming_the_line(capsys, tmp_path, header, line, position):
+    # 2000 rows run past the first chunk that the header read decodes, so a
+    # bad data row is found by the row parser.
+    n_values = header.count(",")
+    rows = [",".join([f"{i / FS:.3f}"] + ["1e-12"] * n_values) for i in range(2000)]
+    lines = [text.encode("utf-8") for text in [header] + rows]
+    bad = lines[line - 1]
+    lines[line - 1] = bad[:position] + b"\xff" + bad[position:]
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    out = tmp_path / "psd.csv"
+    assert main(["psd", "--in", str(path), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: {path}:{line}: 'utf-8' codec can't decode byte 0xff "
+        f"in position {position}: invalid start byte\n"
+    )
     assert not out.exists()

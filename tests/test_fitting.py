@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from serfkit import fitting
 from serfkit.errors import FitFailureError
 from serfkit.fitting import (
     covariance_from_jacobian,
@@ -46,11 +47,12 @@ def test_converges_on_nonlinear_exponential():
     assert res.params == pytest.approx([2.5, -1.3], rel=1e-8)
 
 
-def test_failure_carries_best_params():
+def test_failure_carries_best_params(monkeypatch):
     # One trial step cannot reach the optimum, so the budget runs out.
+    monkeypatch.setattr(fitting, "MAX_ITER", 1)
     residual, jacobian = _quadratic_problem(np.array([1.0, 1.0, 1.0]))
     with pytest.raises(FitFailureError) as excinfo:
-        fit_damped_least_squares(residual, jacobian, np.zeros(3), max_iter=1)
+        fit_damped_least_squares(residual, jacobian, np.zeros(3))
     assert excinfo.value.params is not None
     assert len(excinfo.value.params) == 3
 

@@ -366,3 +366,27 @@ def test_reduction_ratio_rejects_difference_of_wrong_shape(shape):
     cal = GradCalibration(1.0, F1, F2, tone_freq_hz=10.0)
     with pytest.raises(InvalidParameterError, match="difference has shape"):
         reduction_ratio(rec, cal, 10.0, difference=np.zeros(shape))
+
+
+# The demo's phase sweep: 40 points from 5 to 200 Hz, phase noise 3 mrad.
+PHASE_SWEEP_HZ = np.arange(5.0, 201.0, 5.0)
+PHASE_NOISE_RAD = 0.003
+PHASE_SEEDS = range(300)
+# P(|t_38| < 1) = 1 - I_{38/39}(19, 1/2), with I the regularized incomplete
+# beta function; 38 = 40 points - 2 parameters.
+T38_WITHIN_ONE_SIGMA = 0.6763639161355925
+
+
+def test_phase_fit_one_sigma_coverage():
+    clean = phase_difference(PHASE_SWEEP_HZ, F1, F2)
+    z = []
+    for seed in PHASE_SEEDS:
+        noise = np.random.default_rng(seed).normal(0.0, PHASE_NOISE_RAD, len(clean))
+        fit = fit_phase_model(
+            [PhasePoint(float(f), float(p)) for f, p in zip(PHASE_SWEEP_HZ, clean + noise)]
+        )
+        z.append((np.array([fit.f1_hz, fit.f2_hz]) - (F1, F2)) / np.sqrt(np.diag(fit.covariance)))
+    expected = T38_WITHIN_ONE_SIGMA
+    bound = 4.0 * math.sqrt(expected * (1.0 - expected) / len(z))
+    within = np.mean(np.abs(z) < 1.0, axis=0)  # f1, f2
+    assert np.all(np.abs(within - expected) < bound)

@@ -114,12 +114,6 @@ class TestFitLorentzian:
         assert fit_shifted.center_hz - shift == pytest.approx(fit.center_hz, rel=1e-9)
         assert fit_shifted.hwhm_hz == pytest.approx(fit.hwhm_hz, rel=1e-9)
 
-    def test_explicit_init_used(self):
-        sweep = make_sweep(50.0, 2.0, 1.0, 0.0)
-        init = LorentzianFit(center_hz=49.0, hwhm_hz=3.0, amplitude=0.8, baseline=0.1)
-        fit = fit_lorentzian(sweep, init=init)
-        assert fit.center_hz == pytest.approx(50.0, rel=1e-9)
-
     def test_flat_sweep_degenerate(self):
         with pytest.raises(DegenerateDataError):
             fit_lorentzian(FrequencySweep(np.arange(10.0), np.full(10, 3.0)))

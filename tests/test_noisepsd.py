@@ -64,7 +64,6 @@ class TestWelch:
         assert psd.freqs_hz[0] == 0.0
         assert psd.freqs_hz[-1] == FS / 2.0
         assert psd.n_averages == (9000 - 2048) // 1024 + 1
-        assert psd.parseval_normalized
 
     def test_series_shorter_than_segment(self):
         with pytest.raises(InsufficientDataError):
@@ -112,7 +111,7 @@ class TestCalibrateTesla:
 class TestBandFloor:
     def flat_psd(self, level=8e-15, nbins=2049):
         freqs = np.linspace(0.0, FS / 2.0, nbins)
-        return PsdEstimate(freqs, np.full(nbins, level), 4096, 0.5, "hann", 10)
+        return PsdEstimate(freqs, np.full(nbins, level), 4096, 0.5, 10)
 
     def test_flat_floor(self):
         assert band_floor(self.flat_psd(), 20.0, 30.0) == pytest.approx(8e-15, rel=1e-12)
@@ -180,7 +179,7 @@ class TestPsdEstimate:
     def test_negative_asd_rejected(self):
         with pytest.raises(InvalidParameterError):
             PsdEstimate(np.arange(5.0), np.array([1.0, -1.0, 1.0, 1.0, 1.0]),
-                        64, 0.5, "hann", 1)
+                        64, 0.5, 1)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Spin-exchange relaxation model tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -90,10 +92,16 @@ class TestFitTse:
 
     def test_fixed_intrinsic_mode(self):
         points = make_points(8.6e-6, 10.45, np.arange(20.0, 201.0, 20.0))
-        fit = fit_tse(points, fit_intrinsic=False, intrinsic_hwhm_hz=10.45)
+        fit = fit_tse(points, intrinsic_hwhm_hz=10.45)
         assert fit.t_se_s == pytest.approx(8.6e-6, rel=1e-10)
         assert fit.intrinsic_hwhm_hz == 10.45
         assert fit.covariance[1, 1] == 0.0
+
+    @pytest.mark.parametrize("intrinsic", [-5.0, np.nan, np.inf])
+    def test_held_intrinsic_must_be_finite_and_nonnegative(self, intrinsic):
+        points = make_points(8.6e-6, 10.45, np.arange(20.0, 201.0, 20.0))
+        with pytest.raises(InvalidParameterError, match="intrinsic_hwhm_hz"):
+            fit_tse(points, intrinsic_hwhm_hz=intrinsic)
 
     def test_weights_respected(self):
         points = make_points(8.6e-6, 10.45, np.arange(20.0, 201.0, 20.0))
@@ -165,3 +173,41 @@ class TestParams:
             LinewidthPoint(-1.0, 5.0)
         with pytest.raises(InvalidParameterError):
             LinewidthPoint(10.0, 0.0)
+
+
+# The demo's linewidth sweep: 10 resonances from 20 to 200 Hz, each width
+# scattered by 1 % of itself, fitted with the matching weights 1/sigma^2.
+TSE_TRUTH = SerfParams(t_se_s=8.6e-6, intrinsic_hwhm_hz=10.45)
+TSE_RESONANCES_HZ = np.arange(20.0, 201.0, 20.0)
+TSE_SEEDS = range(300)
+# P(|t_dof| < 1) = 1 - I_{dof/(dof+1)}(dof/2, 1/2), with I the regularized
+# incomplete beta function; dof = 10 points less the fitted parameters.
+T8_WITHIN_ONE_SIGMA = 0.6534064929126657
+T9_WITHIN_ONE_SIGMA = 0.6565636038620866
+
+
+@pytest.mark.parametrize(
+    "intrinsic, index, expected",
+    [
+        (None, 0, T8_WITHIN_ONE_SIGMA),
+        (None, 1, T8_WITHIN_ONE_SIGMA),
+        (TSE_TRUTH.intrinsic_hwhm_hz, 0, T9_WITHIN_ONE_SIGMA),
+    ],
+    ids=["t_se", "intrinsic", "t_se_fixed_intrinsic"],
+)
+def test_weighted_fit_one_sigma_coverage(intrinsic, index, expected):
+    widths = predict_linewidth(TSE_RESONANCES_HZ, TSE_TRUTH)
+    sigmas = 0.01 * widths
+    truth = (TSE_TRUTH.t_se_s, TSE_TRUTH.intrinsic_hwhm_hz)[index]
+    z = []
+    for seed in TSE_SEEDS:
+        noisy = widths + sigmas * np.random.default_rng(seed).normal(0.0, 1.0, len(widths))
+        points = [
+            LinewidthPoint(float(f), float(w), float(s**-2))
+            for f, w, s in zip(TSE_RESONANCES_HZ, noisy, sigmas)
+        ]
+        fit = fit_tse(points, intrinsic_hwhm_hz=intrinsic)
+        estimate = (fit.t_se_s, fit.intrinsic_hwhm_hz)[index]
+        z.append((estimate - truth) / math.sqrt(fit.covariance[index, index]))
+    bound = 4.0 * math.sqrt(expected * (1.0 - expected) / len(z))
+    assert abs(np.mean(np.abs(z) < 1.0) - expected) < bound
