@@ -196,15 +196,16 @@ def _cmd_psd(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    # The bandwidth source is checked before the record is read and its tone gated.
+    if not args.phase_points and (args.f1 is None or args.f2 is None):
+        raise InvalidParameterError("provide either --phase-points or both --f1 and --f2")
     record = dataio.read_record_csv(args.in_path)
     ratio = amplitude_ratio(record, args.tone_freq)
     if args.phase_points:
         fit = fit_phase_model(dataio.read_phase_points_csv(args.phase_points))
         f1, f2 = fit.f1_hz, fit.f2_hz
-    elif args.f1 is not None and args.f2 is not None:
-        f1, f2 = args.f1, args.f2
     else:
-        raise InvalidParameterError("provide either --phase-points or both --f1 and --f2")
+        f1, f2 = args.f1, args.f2
     cal = GradCalibration(
         amplitude_ratio=ratio,
         f1_hz=f1,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, InvalidParameterError
 from .fitting import fit_damped_least_squares
-from .noisepsd import _tone_bin, _tone_gate, hann_window
+from .noisepsd import _BLOCK, _hann_inplace, _tone_bin, _tone_gate, _window, hann_window
 from .records import TwoChannelRecord
 
 _DEGENERATE_PHASE_RAD = 1e-9
@@ -162,7 +162,7 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
     MissingToneError
         Tone below 10x the local spectral floor in either channel.
     """
-    window = hann_window(len(record))
+    window = _window(len(record))
     mag_top = np.abs(np.fft.rfft(record.top_t * window))
     mag_bottom = np.abs(np.fft.rfft(record.bottom_t * window))
     k = _tone_bin(mag_top, record.sample_rate_hz / len(record), tone_freq_hz)
@@ -174,7 +174,7 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
 def tone_amplitude_in_series(series: np.ndarray, sample_rate_hz: float, tone_freq_hz: float) -> float:
     """Hann-window-corrected tone amplitude in a single series (no SNR gate)."""
     series = np.asarray(series, dtype=float)
-    window = hann_window(len(series))
+    window = _window(len(series))
     mag = np.abs(np.fft.rfft(series * window))
     return _tone_amplitude(mag, float(window.sum()), sample_rate_hz / len(series), tone_freq_hz)
 
@@ -195,32 +195,35 @@ def subtract(
     The DC bin is left uncorrected, so the output mean is exactly the
     difference of the channel means; the Nyquist bin receives no phase
     rotation (keeps the spectrum Hermitian). Any record length is handled
-    directly by the FFT, no padding needed. The spectra are corrected in
-    place, so the extra memory is about three record channels.
+    directly by the FFT, no padding needed. The correction is built and
+    applied in blocks of bins, in place, so the extra memory is about two
+    record channels.
     """
     n = len(record)
-    freqs = np.fft.rfftfreq(n, 1.0 / record.sample_rate_hz)
-    correction = np.full(len(freqs), cal.amplitude_ratio, dtype=complex)
-    if phase_correct:
-        anchor = (
-            magnitude_ratio(cal.tone_freq_hz, cal.f1_hz, cal.f2_hz)
-            if cal.tone_freq_hz > 0
-            else 1.0
-        )
-        correction *= magnitude_ratio(freqs, cal.f1_hz, cal.f2_hz) / anchor
-        rotation = 1j * phase_difference(freqs, cal.f1_hz, cal.f2_hz)
-        correction *= np.exp(rotation, out=rotation)
-        del rotation
-    del freqs
-    correction[0] = 1.0
-    if n % 2 == 0:
-        correction[-1] = abs(correction[-1])
-
-    # correction * bottom, not bottom * correction: the two can differ in
-    # the last bit.
+    bin_width_hz = 1.0 / (n * (1.0 / record.sample_rate_hz))  # as np.fft.rfftfreq
+    anchor = (
+        magnitude_ratio(cal.tone_freq_hz, cal.f1_hz, cal.f2_hz)
+        if phase_correct and cal.tone_freq_hz > 0
+        else 1.0
+    )
     bottom = np.fft.rfft(record.bottom_t)
-    np.multiply(correction, bottom, out=bottom)
-    del correction
+    n_bins = len(bottom)
+    for start in range(0, n_bins, _BLOCK):
+        stop = min(start + _BLOCK, n_bins)
+        correction = np.full(stop - start, cal.amplitude_ratio, dtype=complex)
+        if phase_correct:
+            freqs = np.arange(start, stop) * bin_width_hz
+            correction *= magnitude_ratio(freqs, cal.f1_hz, cal.f2_hz) / anchor
+            rotation = 1j * phase_difference(freqs, cal.f1_hz, cal.f2_hz)
+            correction *= np.exp(rotation, out=rotation)
+            del freqs, rotation
+        if start == 0:
+            correction[0] = 1.0
+        if stop == n_bins and n % 2 == 0:
+            correction[-1] = abs(correction[-1])
+        # correction * bottom, not bottom * correction: the two can differ in
+        # the last bit.
+        np.multiply(correction, bottom[start:stop], out=bottom[start:stop])
     top = np.fft.rfft(record.top_t)
     top -= bottom
     del bottom
@@ -245,6 +248,10 @@ def reduction_ratio(
     and the result is the same float. The array is only read, never
     changed. Its length is checked, its values are not.
 
+    The top channel is windowed in the Hann window's own buffer, which is
+    released before the subtraction runs; the difference is then windowed
+    in place (a copy of ``difference``), block by block.
+
     Raises
     ------
     MissingToneError
@@ -259,20 +266,22 @@ def reduction_ratio(
     window = hann_window(len(record))
     window_sum = float(window.sum())
     bin_width_hz = record.sample_rate_hz / len(record)
-    mag_top = np.abs(np.fft.rfft(record.top_t * window))
+    window *= record.top_t  # the windowed top channel, in the window's buffer
+    spectrum = np.fft.rfft(window)
+    del window
+    mag_top = np.abs(spectrum)
+    del spectrum
     k = _tone_bin(mag_top, bin_width_hz, tone_freq_hz)
     _tone_gate(mag_top, k, tone_freq_hz, " in top channel")
     top_amp = _tone_amplitude(mag_top, window_sum, bin_width_hz, tone_freq_hz)
     del mag_top
     if difference is None:
         diff = subtract(record, cal, phase_correct=phase_correct)
-        diff *= window
     else:
-        diff = difference * window
-    del window
-    residual_amp = _tone_amplitude(
-        np.abs(np.fft.rfft(diff)), window_sum, bin_width_hz, tone_freq_hz
-    )
+        diff = np.array(difference, dtype=float)
+    spectrum = np.fft.rfft(_hann_inplace(diff))
+    del diff
+    residual_amp = _tone_amplitude(np.abs(spectrum), window_sum, bin_width_hz, tone_freq_hz)
     if residual_amp == 0.0:
         return math.inf
     return top_amp / residual_amp

@@ -7,6 +7,7 @@ integral of the PSD over frequency equals the mean-square signal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -23,6 +24,9 @@ from .errors import (
 DEFAULT_SEGMENT_LEN = 4096
 DEFAULT_OVERLAP = 0.5
 MIN_SEGMENT_LEN = 64
+# Samples (or frequency bins) per block when a full-length series is worked
+# on piecewise; Hann windows up to this length are also built only once.
+_BLOCK = 65536
 
 # Tone handling, shared with the gradiometer: search and integration
 # halfwidths around the peak bin, and the local-median SNR threshold used
@@ -60,9 +64,46 @@ class PsdEstimate:
         return replace(self, asd_t_sqrthz=self.asd_t_sqrthz * factor)
 
 
+def _hann(n: int, start: int, stop: int) -> np.ndarray:
+    """Samples ``start`` to ``stop - 1`` of the periodic Hann window of length ``n``."""
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(start, stop) / n)
+
+
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann window."""
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    return _hann(n, 0, n)
+
+
+@functools.lru_cache(maxsize=8)
+def _short_window(n: int) -> np.ndarray:
+    window = hann_window(n)
+    window.flags.writeable = False
+    return window
+
+
+def _window(n: int) -> np.ndarray:
+    """Hann window for callers that only read it.
+
+    Windows of at most ``_BLOCK`` samples (Welch segments, minute-long
+    records) are built once and shared read-only; longer ones are built anew.
+    """
+    return _short_window(n) if n <= _BLOCK else hann_window(n)
+
+
+def _hann_inplace(x: np.ndarray) -> np.ndarray:
+    """Multiply ``x`` by the Hann window of its length in place and return it.
+
+    Equal bit for bit to ``x * hann_window(len(x))``; a long series is
+    windowed block by block, so no full-length window is built.
+    """
+    n = len(x)
+    if n <= _BLOCK:
+        x *= _short_window(n)
+        return x
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        x[start:stop] *= _hann(n, start, stop)
+    return x
 
 
 def welch_asd(
@@ -93,7 +134,7 @@ def welch_asd(
             f"series of {len(series)} samples shorter than one segment ({segment_len})"
         )
 
-    window = hann_window(segment_len)
+    window = _window(segment_len)
     step = segment_len - int(overlap_fraction * segment_len)
     step = max(step, 1)
     starts = range(0, len(series) - segment_len + 1, step)

@@ -97,19 +97,20 @@ def channel_transfer(freq_hz, bandwidth_hz: float):
 
 
 def _shaped_noise(rng, freqs: np.ndarray, n: int, fs: float, level: float,
-                  corner_hz: float = 0.0) -> np.ndarray:
+                  corner_hz: float = 0.0) -> np.ndarray | None:
     """Real series with one-sided ASD ``level``, synthesized spectrally.
 
     A nonzero ``corner_hz`` steepens the ASD below the corner as
     ``level * sqrt(corner / f)``. Bin variances are fixed by
     E|X_k|^2 = PSD(f_k) * fs * n / 2 so Welch estimates read back the
     configured density. Normal draws happen even for zero ASD to keep the
-    generator stream independent of the noise levels.
+    generator stream independent of the noise levels; a zero ASD then
+    returns None instead of a series of zeros.
     """
     re = rng.standard_normal(len(freqs))
     im = rng.standard_normal(len(freqs))
     if level == 0.0:
-        return np.zeros(n)
+        return None
     asd = np.full_like(freqs, level)
     if corner_hz > 0.0:
         with np.errstate(divide="ignore"):
@@ -159,6 +160,8 @@ def simulate_record(cfg: SimConfig) -> TwoChannelRecord:
     common = _shaped_noise(
         rng, freqs, n, fs, noise.common_asd_t_sqrthz, noise.one_over_f_corner_hz
     )
+    if common is None:
+        common = np.zeros(n)
     if cfg.tones:
         t = np.arange(n) / fs
         for tone_freq, amp, phase in cfg.tones:
@@ -177,12 +180,18 @@ def simulate_record(cfg: SimConfig) -> TwoChannelRecord:
     del spec
 
     half_gradient = _shaped_noise(rng, freqs, n, fs, noise.gradient_asd_t_sqrthz)
-    half_gradient *= 0.5
-    sensor_top_asd, sensor_bottom_asd = noise.sensor_pair
-    top += _shaped_noise(rng, freqs, n, fs, sensor_top_asd)
-    bottom += _shaped_noise(rng, freqs, n, fs, sensor_bottom_asd)
-    top += half_gradient
-    bottom -= half_gradient
+    for channel, sensor_asd in zip((top, bottom), noise.sensor_pair):
+        sensor = _shaped_noise(rng, freqs, n, fs, sensor_asd)
+        # Zero noise is still added, as a scalar: it turns -0.0 into +0.0.
+        channel += 0.0 if sensor is None else sensor
+        del sensor
+    # A zero gradient is skipped: x - 0.0 is x, and x + 0.0 differs from x
+    # only at -0.0, which the sensor step leaves only where the channel and
+    # its sensor noise were both exactly -0.0.
+    if half_gradient is not None:
+        half_gradient *= 0.5
+        top += half_gradient
+        bottom -= half_gradient
 
     if not (np.all(np.isfinite(top)) and np.all(np.isfinite(bottom))):
         raise ConfigError("simulation produced non-finite samples")

@@ -556,3 +556,21 @@ def test_csv_not_utf8_exits_2_naming_the_line(capsys, tmp_path, header, line, po
         f"in position {position}: invalid start byte\n"
     )
     assert not out.exists()
+
+
+def test_calibrate_without_bandwidths_fails_before_reading_the_record(capsys, tmp_path):
+    # A toneless record would fail the tone gate; the missing bandwidth source
+    # is reported first.
+    rng = np.random.default_rng(12)
+    rec_path = tmp_path / "notone.csv"
+    dataio.write_record_csv(
+        rec_path, TwoChannelRecord(FS, rng.normal(0, 1e-15, 8192), rng.normal(0, 1e-15, 8192))
+    )
+    capsys.readouterr()
+    out = tmp_path / "cal.json"
+    code = main(["calibrate", "--in", str(rec_path), "--tone-freq", "10", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: provide either --phase-points or both --f1 and --f2\n"
+    )
+    assert not out.exists()

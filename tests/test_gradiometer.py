@@ -1,6 +1,7 @@
 """Gradiometer calibration and frequency-domain subtraction tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,3 +391,66 @@ def test_phase_fit_one_sigma_coverage():
     bound = 4.0 * math.sqrt(expected * (1.0 - expected) / len(z))
     within = np.mean(np.abs(z) < 1.0, axis=0)  # f1, f2
     assert np.all(np.abs(within - expected) < bound)
+
+
+# 65 536-bin correction blocks: n = 131070 fills exactly one block, n = 131072
+# leaves the Nyquist bin alone in a second block, n = 131073 (odd) leaves a
+# bin that is not Nyquist alone there. Without phase correction only the DC
+# and Nyquist bins differ from the flat ratio, so the even n covers that case.
+@pytest.mark.parametrize("n, phase", [(2 * 65536 - 2, True), (2 * 65536, True),
+                                      (2 * 65536, False), (2 * 65536 + 1, True)])
+def test_subtract_and_reduction_ratio_match_reference_at_block_edges(n, phase):
+    rec = tone_record(n=n, bottom_gain=0.97, noise=1e-14, seed=10)
+    cal = GradCalibration(1.03, F1, F2, tone_freq_hz=10.0)
+    expected = _reference_subtract(rec, cal, phase_correct=phase)
+    diff = subtract(rec, cal, phase_correct=phase)
+    # tobytes() also tells -0.0 from 0.0, which array_equal does not.
+    assert diff.tobytes() == expected.tobytes()
+
+    mag_top, window_sum = _reference_magnitude(rec.top_t)
+    mag_diff, _ = _reference_magnitude(expected)
+    top_amp = float(2.0 * mag_top[_reference_bin(mag_top, n, 10.0)] / window_sum)
+    residual_amp = float(2.0 * mag_diff[_reference_bin(mag_diff, n, 10.0)] / window_sum)
+    assert reduction_ratio(rec, cal, 10.0, phase_correct=phase) == top_amp / residual_amp
+    assert reduction_ratio(
+        rec, cal, 10.0, phase_correct=phase, difference=diff
+    ) == top_amp / residual_amp
+    assert diff.tobytes() == expected.tobytes()
+
+
+def _traced_peak(func):
+    tracemalloc.start()
+    try:
+        func()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+# 2**20 samples, so that one 65 536-bin block is small next to a channel.
+MEMORY_N = 2**20
+
+
+@pytest.fixture(scope="module")
+def memory_record():
+    rng = np.random.default_rng(11)
+    tone = 16e-12 * np.sin(2 * np.pi * 10.0 * np.arange(MEMORY_N) / FS)
+    return TwoChannelRecord(FS, tone + rng.normal(0, 1e-14, MEMORY_N),
+                            0.97 * tone + rng.normal(0, 1e-14, MEMORY_N))
+
+
+def test_subtract_extra_memory_is_two_channels(memory_record):
+    # The bottom and top spectra (one channel each), then the top spectrum
+    # and the output; no full-length correction, frequency or rotation array.
+    cal = GradCalibration(0.97, F1, F2, tone_freq_hz=10.0)
+    peak = _traced_peak(lambda: subtract(memory_record, cal, phase_correct=True))
+    assert peak <= 2.25 * memory_record.top_t.nbytes
+
+
+def test_reduction_ratio_extra_memory_without_difference(memory_record):
+    # The window is released before the subtraction, and the difference is
+    # windowed in place, so the subtraction sets the peak.
+    cal = GradCalibration(0.97, F1, F2, tone_freq_hz=10.0)
+    peak = _traced_peak(lambda: reduction_ratio(memory_record, cal, 10.0))
+    assert peak <= 2.5 * memory_record.top_t.nbytes

@@ -15,8 +15,11 @@ from serfkit.noisepsd import (
     TONE_MIN_SNR,
     TONE_NEIGHBORHOOD_BINS,
     PsdEstimate,
+    _hann_inplace,
+    _window,
     band_floor,
     calibrate_tesla,
+    hann_window,
     tone_amplitude,
     welch_asd,
 )
@@ -196,3 +199,22 @@ def test_welch_asd_matches_scipy(n, segment_len, overlap):
     )
     np.testing.assert_allclose(psd.freqs_hz, freqs, rtol=1e-12)
     np.testing.assert_allclose(psd.asd_t_sqrthz, np.sqrt(pxx), rtol=1e-12)
+
+
+# 65 536-sample blocks: one sample, one block short of full, exactly full, one
+# sample over, and three full blocks plus a remainder.
+@pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 3 * 65536 + 7])
+def test_hann_inplace_matches_full_window(n):
+    x = np.random.default_rng(n).normal(0.0, 1.0, n)
+    x[::1000] = -0.0
+    expected = x * hann_window(n)
+    out = _hann_inplace(x.copy())
+    # tobytes() also tells -0.0 from 0.0, which array_equal does not.
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_short_windows_are_shared_and_read_only():
+    window = _window(4096)
+    assert window is _window(4096)
+    assert not window.flags.writeable
+    assert window.tobytes() == hann_window(4096).tobytes()

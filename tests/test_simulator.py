@@ -1,6 +1,7 @@
 """Synthetic two-channel generator tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,3 +247,26 @@ def test_simulate_record_matches_reference_bit_for_bit(name):
     assert len(rec) == cfg.n_samples
     assert np.array_equal(rec.top_t, top)
     assert np.array_equal(rec.bottom_t, bottom)
+
+
+def test_zero_noise_turns_negative_zeros_positive():
+    # Negative gains on a silent record give -0.0 samples; adding the zero
+    # sensor and gradient noise has always made them +0.0.
+    rec = simulate_record(SimConfig(FS, 5.0, seed=1, channel_gains=(-1.0, -2.0)))
+    zeros = np.zeros(len(rec)).tobytes()
+    assert rec.top_t.tobytes() == zeros
+    assert rec.bottom_t.tobytes() == zeros
+
+
+def test_zero_gradient_extra_memory():
+    # 2**20 samples. A zero gradient ASD still draws its normals but makes
+    # no full-length series; the two output channels count in the peak.
+    cfg = SimConfig(FS, 2**20 / FS, seed=5, tones=((10.0, 16e-12, 0.0),),
+                    noise=NoiseModel(common_asd_t_sqrthz=8e-15, sensor_asd_t_sqrthz=8.5e-16))
+    tracemalloc.start()
+    try:
+        rec = simulate_record(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * rec.top_t.nbytes
