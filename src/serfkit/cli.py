@@ -88,13 +88,16 @@ def _write_manifest(out_path, command: str, params: dict, input_paths, seed) -> 
 
 # Input-file arguments, in the order manifests list them.
 _INPUT_ARGS = ("in_path", "cal", "phase_points", "config")
+# Parsed arguments that are neither inputs nor options of the computation.
+_NOT_PARAMS = {"command", "handler", "fit", "out", *_INPUT_ARGS}
 
 
-def _finish(args, result: dict, params: dict, write=None, seed=None) -> int:
+def _finish(args, result: dict, write=None, seed=None) -> int:
     """Write ``--out`` and its manifest when given, then print ``result``.
 
     ``write(path)`` writes the output file; by default ``result`` goes out
-    as JSON.
+    as JSON. The manifest's ``params`` are every parsed option except the
+    input and output paths, which it records by hash or not at all.
     """
     if args.out:
         if write is None:
@@ -102,6 +105,7 @@ def _finish(args, result: dict, params: dict, write=None, seed=None) -> int:
         else:
             write(args.out)
         inputs = [getattr(args, name) for name in _INPUT_ARGS if getattr(args, name, None)]
+        params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
         _write_manifest(args.out, args.command, params, inputs, seed)
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
@@ -115,7 +119,6 @@ def _cmd_simulate(args) -> int:
     return _finish(
         args,
         {"out": os.fspath(args.out), "n_samples": len(record), "seed": cfg.seed},
-        {"config": os.fspath(args.config)},
         write=lambda path: dataio.write_record_csv(path, record),
         seed=cfg.seed,
     )
@@ -123,7 +126,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit_sweep(args) -> int:
     fit = args.fit(dataio.read_sweep_csv(args.in_path))
-    return _finish(args, fit.as_dict(), {})
+    return _finish(args, fit.as_dict())
 
 
 def _cmd_gas_solve(args) -> int:
@@ -132,11 +135,7 @@ def _cmd_gas_solve(args) -> int:
         raw = dataio.read_json(args.config)
         coeffs = dataio._from_json(GasCoefficients, raw, f"coefficient config {args.config}")
     comp = solve_composition(args.shift_ghz, args.width_ghz, coeffs)
-    return _finish(
-        args,
-        {"he_amagat": comp.he_amagat, "n2_amagat": comp.n2_amagat},
-        {"shift_ghz": args.shift_ghz, "width_ghz": args.width_ghz},
-    )
+    return _finish(args, {"he_amagat": comp.he_amagat, "n2_amagat": comp.n2_amagat})
 
 
 def _cmd_fit_serf(args) -> int:
@@ -152,14 +151,7 @@ def _cmd_fit_serf(args) -> int:
         "intrinsic_hwhm_hz": fit.intrinsic_hwhm_hz,
         "n_cm3": number_density(fit.t_se_s, args.vbar, args.sigma_se),
     }
-    params = {
-        "nuclear_spin": args.nuclear_spin,
-        "slowing_q": args.slowing_q,
-        "intrinsic": args.intrinsic,
-        "vbar": args.vbar,
-        "sigma_se": args.sigma_se,
-    }
-    return _finish(args, result, params)
+    return _finish(args, result)
 
 
 def _load_series(path, channel: str) -> tuple[float, np.ndarray]:
@@ -186,13 +178,7 @@ def _cmd_psd(args) -> int:
         lo, hi = args.band
         result["band_floor_t_sqrthz"] = band_floor(psd, lo, hi)
         result["band"] = [lo, hi]
-    params = {
-        "channel": args.channel,
-        "segment_len": args.segment_len,
-        "overlap": args.overlap,
-        "calibrate_tone": list(args.calibrate_tone) if args.calibrate_tone else None,
-    }
-    return _finish(args, result, params, write=lambda path: dataio.write_psd_csv(path, psd))
+    return _finish(args, result, write=lambda path: dataio.write_psd_csv(path, psd))
 
 
 def _cmd_calibrate(args) -> int:
@@ -213,8 +199,7 @@ def _cmd_calibrate(args) -> int:
         tone_freq_hz=args.tone_freq,
         tone_amp_t=args.tone_amp,
     )
-    params = {"tone_freq": args.tone_freq, "tone_amp": args.tone_amp}
-    return _finish(args, dataclasses.asdict(cal), params)
+    return _finish(args, dataclasses.asdict(cal))
 
 
 def _cmd_subtract(args) -> int:
@@ -224,14 +209,13 @@ def _cmd_subtract(args) -> int:
     return _finish(
         args,
         {"out": os.fspath(args.out), "rms_t": float(np.sqrt(np.mean(diff**2)))},
-        {"phase": args.phase},
         write=lambda path: dataio.write_series_csv(path, record.sample_rate_hz, diff),
     )
 
 
 def _cmd_phase_fit(args) -> int:
     fit = fit_phase_model(dataio.read_phase_points_csv(args.in_path))
-    return _finish(args, {"f1_hz": fit.f1_hz, "f2_hz": fit.f2_hz}, {})
+    return _finish(args, {"f1_hz": fit.f1_hz, "f2_hz": fit.f2_hz})
 
 
 def _sample_from_args(args) -> SampleSpec:
@@ -265,7 +249,7 @@ def _cmd_nmr_estimate(args) -> int:
         "field_t": dipole_field(sample),
         "model": DIPOLE_MODEL_NAME,
     }
-    return _finish(args, result, {} if args.config else {"isotope": args.isotope})
+    return _finish(args, result)
 
 
 def _cmd_demo_paper(args) -> int:

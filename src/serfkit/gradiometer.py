@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, InvalidParameterError
 from .fitting import fit_damped_least_squares
-from .noisepsd import _BLOCK, _hann_inplace, _tone_bin, _tone_gate, _window, hann_window
+from .noisepsd import _BLOCK, _hann_spectra, _hann_sum, _tone_bin, _tone_gate
 from .records import TwoChannelRecord
 
 _DEGENERATE_PHASE_RAD = 1e-9
@@ -38,6 +38,9 @@ class GradCalibration:
     tone_amp_t: float = 0.0
 
     def __post_init__(self):
+        for name in ("amplitude_ratio", "f1_hz", "f2_hz", "tone_freq_hz", "tone_amp_t"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.amplitude_ratio > 0:
             raise InvalidParameterError("amplitude_ratio must be positive")
         if not (self.f1_hz > 0 and self.f2_hz > 0):
@@ -143,11 +146,18 @@ def fit_phase_model(points) -> PhaseModelFit:
 
 
 def _tone_amplitude(
-    mag: np.ndarray, window_sum: float, bin_width_hz: float, tone_freq_hz: float
+    series: np.ndarray, sample_rate_hz: float, tone_freq_hz: float, where: str | None = None
 ) -> float:
-    """Window-corrected tone amplitude at the tone bin of a windowed magnitude spectrum."""
-    k = _tone_bin(mag, bin_width_hz, tone_freq_hz)
-    return float(2.0 * mag[k] / window_sum)
+    """Hann-window-corrected tone amplitude; ``series`` is overwritten.
+
+    Given ``where``, the tone must also pass the SNR gate, and a failure
+    names ``where``.
+    """
+    (mag,) = _hann_spectra(series)
+    k = _tone_bin(mag, sample_rate_hz / len(series), tone_freq_hz)
+    if where is not None:
+        _tone_gate(mag, k, tone_freq_hz, where)
+    return float(2.0 * mag[k] / _hann_sum(len(series)))
 
 
 def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
@@ -162,9 +172,7 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
     MissingToneError
         Tone below 10x the local spectral floor in either channel.
     """
-    window = _window(len(record))
-    mag_top = np.abs(np.fft.rfft(record.top_t * window))
-    mag_bottom = np.abs(np.fft.rfft(record.bottom_t * window))
+    mag_top, mag_bottom = _hann_spectra(record.top_t.copy(), record.bottom_t.copy())
     k = _tone_bin(mag_top, record.sample_rate_hz / len(record), tone_freq_hz)
     for name, mag in (("top", mag_top), ("bottom", mag_bottom)):
         _tone_gate(mag, k, tone_freq_hz, f" in {name} channel")
@@ -173,10 +181,7 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
 
 def tone_amplitude_in_series(series: np.ndarray, sample_rate_hz: float, tone_freq_hz: float) -> float:
     """Hann-window-corrected tone amplitude in a single series (no SNR gate)."""
-    series = np.asarray(series, dtype=float)
-    window = _window(len(series))
-    mag = np.abs(np.fft.rfft(series * window))
-    return _tone_amplitude(mag, float(window.sum()), sample_rate_hz / len(series), tone_freq_hz)
+    return _tone_amplitude(np.array(series, dtype=float), sample_rate_hz, tone_freq_hz)
 
 
 def subtract(
@@ -248,9 +253,9 @@ def reduction_ratio(
     and the result is the same float. The array is only read, never
     changed. Its length is checked, its values are not.
 
-    The top channel is windowed in the Hann window's own buffer, which is
-    released before the subtraction runs; the difference is then windowed
-    in place (a copy of ``difference``), block by block.
+    The top channel is windowed in a copy that is released before the
+    subtraction runs; the difference is then windowed in place (a copy of
+    ``difference``).
 
     Raises
     ------
@@ -263,25 +268,14 @@ def reduction_ratio(
         raise InvalidParameterError(
             f"difference has shape {np.shape(difference)}, expected ({len(record)},)"
         )
-    window = hann_window(len(record))
-    window_sum = float(window.sum())
-    bin_width_hz = record.sample_rate_hz / len(record)
-    window *= record.top_t  # the windowed top channel, in the window's buffer
-    spectrum = np.fft.rfft(window)
-    del window
-    mag_top = np.abs(spectrum)
-    del spectrum
-    k = _tone_bin(mag_top, bin_width_hz, tone_freq_hz)
-    _tone_gate(mag_top, k, tone_freq_hz, " in top channel")
-    top_amp = _tone_amplitude(mag_top, window_sum, bin_width_hz, tone_freq_hz)
-    del mag_top
+    top_amp = _tone_amplitude(
+        record.top_t.copy(), record.sample_rate_hz, tone_freq_hz, " in top channel"
+    )
     if difference is None:
         diff = subtract(record, cal, phase_correct=phase_correct)
     else:
         diff = np.array(difference, dtype=float)
-    spectrum = np.fft.rfft(_hann_inplace(diff))
-    del diff
-    residual_amp = _tone_amplitude(np.abs(spectrum), window_sum, bin_width_hz, tone_freq_hz)
+    residual_amp = _tone_amplitude(diff, record.sample_rate_hz, tone_freq_hz)
     if residual_amp == 0.0:
         return math.inf
     return top_amp / residual_amp

@@ -76,34 +76,41 @@ def hann_window(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _short_window(n: int) -> np.ndarray:
+    """Hann window of at most ``_BLOCK`` samples, built once and shared read-only."""
     window = hann_window(n)
     window.flags.writeable = False
     return window
 
 
-def _window(n: int) -> np.ndarray:
-    """Hann window for callers that only read it.
+@functools.lru_cache(maxsize=8)
+def _hann_sum(n: int) -> float:
+    """``float(hann_window(n).sum())`` bit for bit (``n / 2`` is not, for some n).
 
-    Windows of at most ``_BLOCK`` samples (Welch segments, minute-long
-    records) are built once and shared read-only; longer ones are built anew.
+    The window is filled block by block into one buffer, so no full-length
+    temporaries are made.
     """
-    return _short_window(n) if n <= _BLOCK else hann_window(n)
-
-
-def _hann_inplace(x: np.ndarray) -> np.ndarray:
-    """Multiply ``x`` by the Hann window of its length in place and return it.
-
-    Equal bit for bit to ``x * hann_window(len(x))``; a long series is
-    windowed block by block, so no full-length window is built.
-    """
-    n = len(x)
-    if n <= _BLOCK:
-        x *= _short_window(n)
-        return x
+    window = np.empty(n)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        x[start:stop] *= _hann(n, start, stop)
-    return x
+        window[start:stop] = _hann(n, start, stop)
+    return float(window.sum())
+
+
+def _hann_spectra(*series: np.ndarray) -> list[np.ndarray]:
+    """Hann-windowed magnitude spectra ``|rfft(x * hann_window(n))|``, bit for bit.
+
+    Each series (all of length ``n``) is windowed in place, one window block
+    of at most ``_BLOCK`` samples serving all of them, so no full-length
+    window is built. Each spectrum is written over the front of its own
+    series and returned as a view of it: a ``del`` here could not free a
+    series that the caller's frame still holds.
+    """
+    n = len(series[0])
+    for start in range(0, n, _BLOCK):
+        window = _short_window(n) if n <= _BLOCK else _hann(n, start, min(start + _BLOCK, n))
+        for x in series:
+            x[start : start + len(window)] *= window
+    return [np.abs(np.fft.rfft(x), out=x[: n // 2 + 1]) for x in series]
 
 
 def welch_asd(
@@ -134,7 +141,7 @@ def welch_asd(
             f"series of {len(series)} samples shorter than one segment ({segment_len})"
         )
 
-    window = _window(segment_len)
+    window = _short_window(segment_len) if segment_len <= _BLOCK else hann_window(segment_len)
     step = segment_len - int(overlap_fraction * segment_len)
     step = max(step, 1)
     starts = range(0, len(series) - segment_len + 1, step)
@@ -165,6 +172,8 @@ def welch_asd(
 
 def _tone_bin(spectrum: np.ndarray, bin_width_hz: float, tone_freq_hz: float) -> int:
     """Peak bin within +-2 bins of nominal; nominal lies strictly inside the spectrum."""
+    if not math.isfinite(tone_freq_hz):
+        raise InvalidParameterError(f"tone frequency must be finite, got {tone_freq_hz:g}")
     nominal = int(round(tone_freq_hz / bin_width_hz))
     if not (0 < nominal < len(spectrum) - 1):
         raise MissingToneError(f"tone frequency {tone_freq_hz:g} Hz outside (0, Nyquist)")

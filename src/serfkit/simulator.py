@@ -78,6 +78,8 @@ class SimConfig:
             )
         if not (self.f1_hz > 0 and self.f2_hz > 0):
             raise ConfigError("channel bandwidths must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def n_samples(self) -> int:

@@ -574,3 +574,96 @@ def test_calibrate_without_bandwidths_fails_before_reading_the_record(capsys, tm
         "error: provide either --phase-points or both --f1 and --f2\n"
     )
     assert not out.exists()
+
+
+def _config_hash(out):
+    return json.loads(Path(f"{out}.manifest.json").read_text())["config_hash"]
+
+
+@pytest.mark.parametrize(
+    "command, first, second",
+    [
+        ("simulate", ["--seed", "1"], ["--seed", "2"]),
+        ("calibrate", ["--f1", "49.9", "--f2", "68.8"], ["--f1", "40", "--f2", "60"]),
+        ("nmr-estimate", ["--distance-m", "0.01"], ["--distance-m", "0.02"]),
+    ],
+    ids=["simulate_seed", "calibrate_bandwidths", "nmr_estimate_distance"],
+)
+def test_config_hash_differs_when_an_option_does(tmp_path, command, first, second):
+    cfg = write_sim_config(tmp_path / "sim.json", duration=10.0)
+    rec = tmp_path / "rec.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(rec)]) == EXIT_OK
+    base = {
+        "simulate": ["--config", str(cfg)],
+        "calibrate": ["--in", str(rec), "--tone-freq", "10"],
+        "nmr-estimate": [],
+    }[command]
+    outs = [tmp_path / "first.out", tmp_path / "second.out"]
+    for out, options in zip(outs, (first, second)):
+        assert main([command, *base, *options, "--out", str(out)]) == EXIT_OK
+    assert _config_hash(outs[0]) != _config_hash(outs[1])
+
+
+def test_config_hash_does_not_depend_on_the_config_path(tmp_path):
+    cfg = write_sim_config(tmp_path / "sim.json", duration=10.0)
+    copy = tmp_path / "elsewhere" / "sim.json"
+    copy.parent.mkdir()
+    copy.write_bytes(cfg.read_bytes())
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, out in zip((cfg, copy), outs):
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert _config_hash(outs[0]) == _config_hash(outs[1])
+    manifest = json.loads(Path(f"{outs[0]}.manifest.json").read_text())
+    assert manifest["params"] == {"seed": None}
+
+
+def _tone_record_csv(tmp_path):
+    rng = np.random.default_rng(5)
+    tone = 16e-12 * np.sin(2 * np.pi * 10.0 * np.arange(8192) / FS)
+    path = tmp_path / "rec.csv"
+    dataio.write_record_csv(
+        path, TwoChannelRecord(FS, tone + rng.normal(0, 1e-15, 8192),
+                               0.97 * tone + rng.normal(0, 1e-15, 8192))
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["calibrate", "--tone-freq", "nan", "--f1", "49.9", "--f2", "68.8"],
+         "tone frequency must be finite, got nan"),
+        (["psd", "--calibrate-tone", "nan:1e-12"], "tone frequency must be finite, got nan"),
+        (["calibrate", "--tone-freq", "10", "--f1", "inf", "--f2", "68.8",
+          "--tone-amp", "nan"], "f1_hz must be finite, got inf"),
+    ],
+    ids=["calibrate_nan_tone", "psd_nan_tone", "calibrate_inf_f1"],
+)
+def test_non_finite_tone_or_calibration_exits_2(capsys, tmp_path, command, message):
+    rec = _tone_record_csv(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([*command, "--in", str(rec), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_subtract_non_finite_calibration_exits_2(capsys, tmp_path):
+    rec = _tone_record_csv(tmp_path)
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps({**GOOD_CAL, "f1_hz": math.inf, "tone_amp_t": math.nan}))
+    out = tmp_path / "diff.csv"
+    code = main(["subtract", "--in", str(rec), "--cal", str(cal), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: f1_hz must be finite, got inf\n"
+    assert not out.exists()
+
+
+def test_simulate_negative_seed_exits_2(capsys, tmp_path):
+    cfg = write_sim_config(tmp_path / "sim.json", duration=10.0)
+    out = tmp_path / "rec.csv"
+    code = main(["simulate", "--config", str(cfg), "--seed", "-1", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()

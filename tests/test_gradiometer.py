@@ -24,7 +24,7 @@ from serfkit.gradiometer import (
     subtract,
     tone_amplitude_in_series,
 )
-from serfkit.noisepsd import calibrate_tesla, hann_window, welch_asd
+from serfkit.noisepsd import _hann_sum, calibrate_tesla, hann_window, welch_asd
 from serfkit.records import TwoChannelRecord
 from serfkit.simulator import NoiseModel, SimConfig, simulate_record
 
@@ -451,6 +451,26 @@ def test_subtract_extra_memory_is_two_channels(memory_record):
 def test_reduction_ratio_extra_memory_without_difference(memory_record):
     # The window is released before the subtraction, and the difference is
     # windowed in place, so the subtraction sets the peak.
+    cal = GradCalibration(0.97, F1, F2, tone_freq_hz=10.0)
+    peak = _traced_peak(lambda: reduction_ratio(memory_record, cal, 10.0))
+    assert peak <= 2.5 * memory_record.top_t.nbytes
+
+
+def test_amplitude_ratio_extra_memory(memory_record):
+    # Copies of both channels, windowed in place, each spectrum written over
+    # its copy: one transform beside the two copies at the peak.
+    peak = _traced_peak(lambda: amplitude_ratio(memory_record, 10.0))
+    assert peak <= 3.25 * memory_record.top_t.nbytes
+
+
+def test_tone_amplitude_in_series_extra_memory(memory_record):
+    peak = _traced_peak(lambda: tone_amplitude_in_series(memory_record.top_t, FS, 10.0))
+    assert peak <= 2.25 * memory_record.top_t.nbytes
+
+
+def test_reduction_ratio_extra_memory_for_a_new_length(memory_record):
+    # The first call for a length also fills one window buffer to sum it.
+    _hann_sum.cache_clear()
     cal = GradCalibration(0.97, F1, F2, tone_freq_hz=10.0)
     peak = _traced_peak(lambda: reduction_ratio(memory_record, cal, 10.0))
     assert peak <= 2.5 * memory_record.top_t.nbytes

@@ -15,8 +15,9 @@ from serfkit.noisepsd import (
     TONE_MIN_SNR,
     TONE_NEIGHBORHOOD_BINS,
     PsdEstimate,
-    _hann_inplace,
-    _window,
+    _hann_spectra,
+    _hann_sum,
+    _short_window,
     band_floor,
     calibrate_tesla,
     hann_window,
@@ -205,16 +206,32 @@ def test_welch_asd_matches_scipy(n, segment_len, overlap):
 # sample over, and three full blocks plus a remainder.
 @pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 3 * 65536 + 7])
 def test_hann_inplace_matches_full_window(n):
-    x = np.random.default_rng(n).normal(0.0, 1.0, n)
-    x[::1000] = -0.0
-    expected = x * hann_window(n)
-    out = _hann_inplace(x.copy())
-    # tobytes() also tells -0.0 from 0.0, which array_equal does not.
-    assert out.tobytes() == expected.tobytes()
+    # _hann_spectra windows its series in place, for one series and for two
+    # sharing each window block, then writes |rfft| over each series' front.
+    rng = np.random.default_rng(n)
+    for n_series in (1, 2):
+        series = [rng.normal(0.0, 1.0, n) for _ in range(n_series)]
+        for x in series:
+            x[::1000] = -0.0
+        buffers = [x.copy() for x in series]
+        spectra = _hann_spectra(*buffers)
+        for x, buf, mag in zip(series, buffers, spectra):
+            windowed = x * hann_window(n)
+            expected = np.abs(np.fft.rfft(windowed))
+            # tobytes() also tells -0.0 from 0.0, which array_equal does not.
+            assert mag.tobytes() == expected.tobytes()
+            assert mag.base is buf
+            assert buf[len(mag):].tobytes() == windowed[len(mag):].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4096, 65536, 131070, 3 * 65536 + 7])
+def test_hann_sum_matches_full_window(n):
+    # n = 131 070 is a length where n / 2 is not the float sum.
+    assert _hann_sum(n) == float(hann_window(n).sum())
 
 
 def test_short_windows_are_shared_and_read_only():
-    window = _window(4096)
-    assert window is _window(4096)
+    window = _short_window(4096)
+    assert window is _short_window(4096)
     assert not window.flags.writeable
     assert window.tobytes() == hann_window(4096).tobytes()
