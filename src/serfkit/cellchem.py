@@ -22,13 +22,12 @@ from .errors import (
 
 @dataclass(frozen=True)
 class GasCoefficients:
-    """Linear pressure shift/broadening coefficients (GHz/amg) and line reference."""
+    """Linear pressure shift/broadening coefficients (GHz/amg)."""
 
     shift_he_ghz_per_amg: float = 3.9
     shift_n2_ghz_per_amg: float = -15.7
     broaden_he_ghz_per_amg: float = 13.3
     broaden_n2_ghz_per_amg: float = 21.0
-    reference_freq_hz: float = K_D1_FREQ_HZ
 
     def __post_init__(self):
         if not (self.broaden_he_ghz_per_amg > 0 and self.broaden_n2_ghz_per_amg > 0):
@@ -125,13 +124,13 @@ def predict_line(
 ) -> tuple[float, float]:
     """Forward model: composition to (center_hz, width_ghz).
 
-    The center is the reference frequency plus the pressure shift. Note the
-    absolute center carries the reference offset, so recovering a GHz-scale
+    The center is the potassium D1 frequency plus the pressure shift. Note the
+    absolute center carries the D1 frequency, so recovering a GHz-scale
     shift from it costs a few digits; use :func:`predict_shift_width` when
     the shift itself is wanted.
     """
     if coeffs is None:
         coeffs = K_D1_COEFFICIENTS
     shift_ghz, width_ghz = predict_shift_width(comp, coeffs)
-    center_hz = coeffs.reference_freq_hz + 1e9 * shift_ghz
+    center_hz = K_D1_FREQ_HZ + 1e9 * shift_ghz
     return float(center_hz), float(width_ghz)

@@ -112,9 +112,10 @@ def _finish(args, result: dict, write=None, seed=None) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    seed = {} if args.seed is None else {"seed": args.seed}
     raw = dataio.read_json(args.config)
-    cfg = dataio._from_json(SimConfig, raw, f"simulate config {args.config}", **seed)
+    cfg = dataio._from_json(SimConfig, raw, f"simulate config {args.config}")
+    if args.seed is not None:  # applied after the read, so a bad seed is not blamed on the file
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     record = simulate_record(cfg)
     return _finish(
         args,
@@ -185,6 +186,8 @@ def _cmd_calibrate(args) -> int:
     # The bandwidth source is checked before the record is read and its tone gated.
     if not args.phase_points and (args.f1 is None or args.f2 is None):
         raise InvalidParameterError("provide either --phase-points or both --f1 and --f2")
+    if args.phase_points and (args.f1 is not None or args.f2 is not None):
+        raise InvalidParameterError("--phase-points fits f1 and f2; do not also give --f1 or --f2")
     record = dataio.read_record_csv(args.in_path)
     ratio = amplitude_ratio(record, args.tone_freq)
     if args.phase_points:
@@ -218,7 +221,19 @@ def _cmd_phase_fit(args) -> int:
     return _finish(args, {"f1_hz": fit.f1_hz, "f2_hz": fit.f2_hz})
 
 
+# Defaults of nmr-estimate's sample flags. The flags themselves default to
+# None, so that one given beside --config, which sets every field, is caught.
+_SAMPLE_DEFAULTS = {"isotope": "1H", "volume_ul": 200.0, "spin_density": 6.7e28, "abundance": None,
+                    "prepol_t": 2.0, "temperature_k": 300.0, "distance_m": 0.01}
+
+
 def _sample_from_args(args) -> SampleSpec:
+    given = [name for name in _SAMPLE_DEFAULTS if getattr(args, name) is not None]
+    if args.config and given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise InvalidParameterError(f"--config sets every sample field; do not also give {flags}")
+    # Filled in for --config runs too, so that their manifest params keep the defaults.
+    vars(args).update({k: v for k, v in _SAMPLE_DEFAULTS.items() if k not in given})
     if args.config:
         raw = dataio.read_json(args.config)
         return dataio._from_json(SampleSpec, raw, f"sample config {args.config}")
@@ -373,15 +388,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("nmr-estimate", help="thermal polarization and sample field")
     p.add_argument("--config", help="sample spec JSON (full field set)")
-    p.add_argument("--isotope", default="1H", help="isotope symbol from the bundled table")
-    p.add_argument("--volume-ul", type=float, default=200.0, help="sample volume in uL")
-    p.add_argument(
-        "--spin-density", type=float, default=6.7e28, help="target nuclei per m^3"
-    )
-    p.add_argument("--abundance", type=float, default=None, help="override isotopic abundance")
-    p.add_argument("--prepol-t", type=float, default=2.0, help="prepolarization field tesla")
-    p.add_argument("--temperature-k", type=float, default=300.0)
-    p.add_argument("--distance-m", type=float, default=0.01)
+    p.add_argument("--isotope", help="isotope symbol from the bundled table")
+    p.add_argument("--volume-ul", type=float, help="sample volume in uL")
+    p.add_argument("--spin-density", type=float, help="target nuclei per m^3")
+    p.add_argument("--abundance", type=float, help="override isotopic abundance")
+    p.add_argument("--prepol-t", type=float, help="prepolarization field tesla")
+    p.add_argument("--temperature-k", type=float)
+    p.add_argument("--distance-m", type=float)
     p.add_argument("--out", help="estimate JSON")
     p.set_defaults(handler=_cmd_nmr_estimate)
 

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError, ValidationError
 from .gradiometer import GradCalibration, PhasePoint
 from .lineshape import FrequencySweep
 from .noisepsd import PsdEstimate
@@ -106,8 +106,8 @@ def _from_json(cls, raw, what: str, **overrides):
     Raises
     ------
     ConfigError
-        Not a JSON object, an unknown key, a missing required field, or a
-        value that does not coerce to its field type.
+        Not a JSON object, an unknown key, a missing required field, a
+        value that does not coerce to its field type, or values ``cls`` rejects.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{what}: not a JSON object")
@@ -135,6 +135,8 @@ def _from_json(cls, raw, what: str, **overrides):
             raise ConfigError(f"{what}: bad value for {key}: {err}") from None
     try:
         return cls(**{**values, **overrides})
+    except ValidationError as err:  # from the dataclass's own checks
+        raise ConfigError(f"{what}: {err}") from None
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{what}: bad value: {err}") from None
 
@@ -169,17 +171,23 @@ def _write_csv(path, header, columns, sample_rate_hz=None) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _read_csv(path, expected_header, optional_tail=0):
-    """Data rows as a 2-D float array, or as float lists from the row parser.
+def _read_csv(path, columns, optional=0) -> np.ndarray:
+    """The named ``columns`` of a CSV body, as a 2-D float array.
 
-    Rows may leave out the optional tail columns but may not run past the header.
+    The last ``optional`` columns are read only when the header names them in
+    their place, and then every row must carry them. Header columns after the
+    read ones must hold numbers too; they are dropped, and rows may leave
+    them out.
     """
     header = csv_header(path)
-    required = list(expected_header[: len(expected_header) - optional_tail])
-    if header[: len(required)] != required:
-        raise InvalidParameterError(
-            f"{path}: expected header starting with {','.join(required)}, got {','.join(header)}"
-        )
+    names = list(columns)
+    if header[: len(names)] != names:
+        names = names[: len(names) - optional]
+        if header[: len(names)] != names:
+            raise InvalidParameterError(
+                f"{path}: expected header starting with {','.join(names)}, got {','.join(header)}"
+            )
+    lo, hi = len(names), len(header)
     try:
         with warnings.catch_warnings():
             # A body without rows is reported by the row parser instead.
@@ -191,13 +199,8 @@ def _read_csv(path, expected_header, optional_tail=0):
     except ValueError:
         pass  # The row parser accepts the input or names its bad line.
     else:
-        if data.shape[0] and data.shape[1] == len(header):
-            return data
-    return _parse_rows(path, len(required), len(header))
-
-
-def _parse_rows(path, lo, hi):
-    """Row-by-row parse with ``path:line`` errors; rows hold lo to hi fields."""
+        if data.shape[0] and data.shape[1] == hi:
+            return data[:, :lo]
     expected = str(lo) if lo == hi else f"{lo} to {hi}"
     rows = []
     try:
@@ -212,29 +215,14 @@ def _parse_rows(path, lo, hi):
                         f"{path}:{lineno}: expected {expected} columns, got {len(row)}"
                     )
                 try:
-                    rows.append([float(c) for c in row])
+                    rows.append([float(c) for c in row][:lo])
                 except ValueError as err:
                     raise InvalidParameterError(f"{path}:{lineno}: {err}") from None
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
     if not rows:
         raise InvalidParameterError(f"{path}: no data rows")
-    return rows
-
-
-def _read_array(path, expected_header) -> np.ndarray:
-    """``_read_csv`` as a 2-D array of the header's columns; extra columns are dropped."""
-    rows = _read_csv(path, expected_header)
-    k = len(expected_header)
-    if isinstance(rows, np.ndarray):
-        return rows[:, :k]
-    return np.array([r[:k] for r in rows])
-
-
-def _read_rows(path, expected_header, optional_tail=0) -> list[list[float]]:
-    """``_read_csv`` as lists of Python floats, for the point readers."""
-    rows = _read_csv(path, expected_header, optional_tail)
-    return rows.tolist() if isinstance(rows, np.ndarray) else rows
+    return np.array(rows)
 
 
 def _sample_rate(path, t: np.ndarray) -> float:
@@ -261,7 +249,7 @@ def write_sweep_csv(path, sweep: FrequencySweep) -> None:
 
 
 def read_sweep_csv(path) -> FrequencySweep:
-    data = _read_array(path, ("freq_hz", "value"))
+    data = _read_csv(path, ("freq_hz", "value"))
     return FrequencySweep(freqs_hz=data[:, 0], values=data[:, 1])
 
 
@@ -272,7 +260,7 @@ def write_record_csv(path, record: TwoChannelRecord) -> None:
 
 
 def read_record_csv(path) -> TwoChannelRecord:
-    data = _read_array(path, ("t_s", "top_t", "bottom_t"))
+    data = _read_csv(path, ("t_s", "top_t", "bottom_t"))
     rate = _sample_rate(path, data[:, 0])
     return TwoChannelRecord(sample_rate_hz=rate, top_t=data[:, 1], bottom_t=data[:, 2])
 
@@ -283,7 +271,7 @@ def write_series_csv(path, sample_rate_hz: float, values) -> None:
 
 def read_series_csv(path) -> tuple[float, np.ndarray]:
     """Single-channel series CSV; returns (sample_rate_hz, values)."""
-    data = _read_array(path, ("t_s", "value_t"))
+    data = _read_csv(path, ("t_s", "value_t"))
     return _sample_rate(path, data[:, 0]), data[:, 1]
 
 
@@ -313,20 +301,13 @@ def _utf8_error(path) -> InvalidParameterError:
 
 
 def read_linewidth_points_csv(path) -> list[LinewidthPoint]:
-    rows = _read_rows(path, ("resonance_hz", "hwhm_hz", "weight"), optional_tail=1)
-    return [
-        LinewidthPoint(
-            resonance_hz=r[0],
-            hwhm_hz=r[1],
-            weight=r[2] if len(r) > 2 else None,
-        )
-        for r in rows
-    ]
+    rows = _read_csv(path, ("resonance_hz", "hwhm_hz", "weight"), optional=1)
+    return [LinewidthPoint(*row) for row in rows.tolist()]
 
 
 def read_phase_points_csv(path) -> list[PhasePoint]:
-    rows = _read_rows(path, ("freq_hz", "phase_rad"))
-    return [PhasePoint(freq_hz=r[0], phase_rad=r[1]) for r in rows]
+    rows = _read_csv(path, ("freq_hz", "phase_rad"))
+    return [PhasePoint(*row) for row in rows.tolist()]
 
 
 def write_phase_points_csv(path, points) -> None:

@@ -14,6 +14,7 @@ yields T_SE, which converts to the alkali number density through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,10 @@ class LinewidthPoint:
     weight: float | None = None
 
     def __post_init__(self):
+        for name in ("resonance_hz", "hwhm_hz", "weight"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if self.resonance_hz < 0:
             raise InvalidParameterError("resonance_hz must be nonnegative")
         if not self.hwhm_hz > 0:

@@ -656,7 +656,7 @@ def test_subtract_non_finite_calibration_exits_2(capsys, tmp_path):
     out = tmp_path / "diff.csv"
     code = main(["subtract", "--in", str(rec), "--cal", str(cal), "--out", str(out)])
     assert code == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: f1_hz must be finite, got inf\n"
+    assert capsys.readouterr().err == f"error: calibration {cal}: f1_hz must be finite, got inf\n"
     assert not out.exists()
 
 
@@ -666,4 +666,82 @@ def test_simulate_negative_seed_exits_2(capsys, tmp_path):
     code = main(["simulate", "--config", str(cfg), "--seed", "-1", "--out", str(out)])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        (["simulate"], {"sample_rate_hz": FS, "duration_s": 1.0},
+         "simulate config {cfg}: record of 1000 samples too short, need 4096"),
+        (GAS_SOLVE, {"broaden_he_ghz_per_amg": -1},
+         "coefficient config {cfg}: broadening coefficients must be positive"),
+        (GAS_SOLVE, {"reference_freq_hz": 3.9e14},
+         "coefficient config {cfg}: unknown keys reference_freq_hz"),
+    ],
+    ids=["simulate_too_short", "gas_solve_negative_broadening", "gas_solve_reference_freq"],
+)
+def test_config_rejected_by_its_dataclass_names_the_file(capsys, tmp_path, command, config,
+                                                         message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
+
+
+def _phase_points_csv(tmp_path):
+    freqs = np.arange(5.0, 201.0, 5.0)
+    phases = phase_difference(freqs, 49.9, 68.8)
+    path = tmp_path / "phase.csv"
+    path.write_text("freq_hz,phase_rad\n" + "".join(f"{f},{p}\n" for f, p in zip(freqs, phases)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, clash, message",
+    [
+        ("nmr-estimate", ["--distance-m", "0.5"],
+         "--config sets every sample field; do not also give --distance-m"),
+        ("calibrate", ["--f1", "40", "--f2", "60"],
+         "--phase-points fits f1 and f2; do not also give --f1 or --f2"),
+    ],
+    ids=["nmr_estimate_distance", "calibrate_bandwidths"],
+)
+def test_input_that_would_be_ignored_exits_2(capsys, tmp_path, command, clash, message):
+    sample = tmp_path / "sample.json"
+    dataio.write_json(sample, {
+        "volume_m3": 200e-9, "spin_density_per_m3": 6.7e28, "natural_abundance": 1.0,
+        "gyromag_rad_s_t": 2.675e8, "spin": 0.5, "prepol_field_t": 2.0,
+        "temperature_k": 300.0, "distance_m": 0.01,
+    })
+    base = {
+        "nmr-estimate": ["--config", str(sample)],
+        "calibrate": ["--in", str(_tone_record_csv(tmp_path)), "--tone-freq", "10",
+                      "--phase-points", str(_phase_points_csv(tmp_path))],
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([command, *base, *clash, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert main([command, *base, "--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("resonance_hz,hwhm_hz\n20,11\nnan,12\n80,15\n", "resonance_hz must be finite, got nan"),
+        ("resonance_hz,hwhm_hz\n20,11\n40,inf\n80,15\n", "hwhm_hz must be finite, got inf"),
+        ("resonance_hz,hwhm_hz,weight\n20,11,1\n40,12,inf\n80,15,1\n",
+         "weight must be finite, got inf"),
+    ],
+    ids=["nan_resonance", "inf_width", "inf_weight"],
+)
+def test_fit_serf_non_finite_point_exits_2(capsys, tmp_path, body, message):
+    path = tmp_path / "pts.csv"
+    path.write_text(body)
+    out = tmp_path / "serf.json"
+    assert main(["fit-serf", "--in", str(path), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()

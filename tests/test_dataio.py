@@ -36,12 +36,14 @@ def test_record_round_trip(tmp_path):
 
 def test_linewidth_points_with_and_without_weight(tmp_path):
     path = tmp_path / "points.csv"
-    path.write_text(
-        "resonance_hz,hwhm_hz,weight\n20,11,1.0\n40,12,0.5\n80,15\n"
-    )
-    points = dataio.read_linewidth_points_csv(path)
-    assert points[0] == LinewidthPoint(20.0, 11.0, 1.0)
-    assert points[2].weight is None
+    path.write_text("resonance_hz,hwhm_hz,weight\n20,11,1.0\n40,12,0.5\n")
+    assert dataio.read_linewidth_points_csv(path)[0] == LinewidthPoint(20.0, 11.0, 1.0)
+    path.write_text("resonance_hz,hwhm_hz\n20,11\n40,12\n")
+    assert dataio.read_linewidth_points_csv(path)[1] == LinewidthPoint(40.0, 12.0)
+    # The weight column is all or nothing.
+    path.write_text("resonance_hz,hwhm_hz,weight\n20,11,1.0\n40,12,0.5\n80,15\n")
+    with pytest.raises(InvalidParameterError, match=":4: expected 3 columns, got 2"):
+        dataio.read_linewidth_points_csv(path)
 
 
 def test_phase_points_round_trip(tmp_path):
@@ -136,8 +138,34 @@ def test_series_with_jittered_time_rejected(tmp_path):
 def test_linewidth_row_past_optional_column_rejected(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("resonance_hz,hwhm_hz,weight\n20,11,1.0\n40,12,0.5,7\n")
-    with pytest.raises(InvalidParameterError, match=":3: expected 2 to 3 columns, got 4"):
+    with pytest.raises(InvalidParameterError, match=":3: expected 3 columns, got 4"):
         dataio.read_linewidth_points_csv(path)
+
+
+def _no_fast_parse(*args, **kwargs):
+    raise ValueError("fast parse disabled")
+
+
+@pytest.mark.parametrize(
+    "header, body, message",
+    [
+        ("resonance_hz,hwhm_hz,weight", "20,11\n40,12\n", ":2: expected 3 columns, got 2"),
+        ("resonance_hz,hwhm_hz,weight,note", "20,11\n40,12\n",
+         ":2: expected 3 to 4 columns, got 2"),
+    ],
+    ids=["all-rows", "extra-header-column"],
+)
+@pytest.mark.parametrize("fast_parse", [True, False], ids=["loadtxt", "row-parser"])
+def test_linewidth_row_without_its_weight_rejected(
+    tmp_path, monkeypatch, header, body, message, fast_parse
+):
+    path = tmp_path / "pts.csv"
+    path.write_text(header + "\n" + body)
+    if not fast_parse:
+        monkeypatch.setattr(np, "loadtxt", _no_fast_parse)
+    with pytest.raises(InvalidParameterError) as err:
+        dataio.read_linewidth_points_csv(path)
+    assert str(err.value) == f"{path}{message}"
 
 
 READERS = {
@@ -192,6 +220,9 @@ def _outcome(read, path):
         ("linewidth", "20,11,1.0\n40,12,0.5\n", None),
         ("linewidth", "20,11\n40,12\n", None),
         ("linewidth", "20,11,1.0\n40,12\n", None),
+        ("linewidth", "-Infinity,11\n", "resonance_hz,hwhm_hz"),
+        ("linewidth", "20,11,300\n40,12,1\n", "resonance_hz,hwhm_hz,note"),
+        ("linewidth", "20,11,1.0,7\n40,12,0.5\n", "resonance_hz,hwhm_hz,weight,note"),
     ],
     ids=[
         "blank-lines", "whitespace-line", "crlf", "whitespace-cells", "quoted",
@@ -199,6 +230,7 @@ def _outcome(read, path):
         "too-many-columns", "too-few-columns",
         "nan-inf", "minus-infinity", "single-row", "header-only", "extra-header-column",
         "extra-header-column-unused", "sweep", "weights", "no-weights", "some-weights",
+        "minus-infinity-unweighted", "note-not-weight", "weight-and-note",
     ],
 )
 def test_readers_match_row_parser(tmp_path, monkeypatch, kind, body, header):
@@ -237,14 +269,21 @@ def test_write_csv_matches_per_value_format(tmp_path, columns):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def _linewidth_tuple(path):
+    """Linewidth points as a tuple, which the extra-column test compares point by point."""
+    return tuple(dataio.read_linewidth_points_csv(path))
+
+
 @pytest.mark.parametrize(
     "header, rows, read",
     [
         ("freq_hz,value", ["1,0", "2,1", "3,4", "4,9", "5,16"], dataio.read_sweep_csv),
         ("t_s,top_t,bottom_t", RECORD_ROWS, dataio.read_record_csv),
         ("t_s,value_t", ["0,1e-12", "0.001,2e-12", "0.002,3e-12"], dataio.read_series_csv),
+        ("resonance_hz,hwhm_hz", ["20,11", "40,12", "80,15"], _linewidth_tuple),
+        ("resonance_hz,hwhm_hz,weight", ["20,11,1", "40,12,0.5", "80,15,2"], _linewidth_tuple),
     ],
-    ids=["sweep", "record", "series"],
+    ids=["sweep", "record", "series", "linewidth", "linewidth-weighted"],
 )
 @pytest.mark.parametrize("extra_rows", ["one", "all"])
 def test_extra_column_reads_as_without_it(tmp_path, header, rows, read, extra_rows):
