@@ -89,7 +89,12 @@ def _write_manifest(out_path, command: str, params: dict, input_paths, seed) -> 
 # Input-file arguments, in the order manifests list them.
 _INPUT_ARGS = ("in_path", "cal", "phase_points", "config")
 # Parsed arguments that are neither inputs nor options of the computation.
-_NOT_PARAMS = {"command", "handler", "fit", "out", *_INPUT_ARGS}
+_NOT_PARAMS = {"command", "handler", "fit", "out", "out_dir", *_INPUT_ARGS}
+
+
+def _params(args) -> dict:
+    """Every parsed option except the input and output paths."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
 
 
 def _finish(args, result: dict, write=None, seed=None) -> int:
@@ -105,8 +110,7 @@ def _finish(args, result: dict, write=None, seed=None) -> int:
         else:
             write(args.out)
         inputs = [getattr(args, name) for name in _INPUT_ARGS if getattr(args, name, None)]
-        params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
-        _write_manifest(args.out, args.command, params, inputs, seed)
+        _write_manifest(args.out, args.command, _params(args), inputs, seed)
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
 
@@ -159,6 +163,8 @@ def _load_series(path, channel: str) -> tuple[float, np.ndarray]:
     # Accepts two-channel records and the single-channel output of subtract.
     header = dataio.csv_header(path)
     if header[:2] == ["t_s", "value_t"]:
+        if channel == "bottom":
+            raise InvalidParameterError(f"{path}: a t_s,value_t series has no bottom channel")
         return dataio.read_series_csv(path)
     record = dataio.read_record_csv(path)
     return record.sample_rate_hz, (
@@ -282,7 +288,7 @@ def _cmd_demo_paper(args) -> int:
     for name, writer in artifacts.items():
         path = os.path.join(out_dir, name)
         writer(path)
-        _write_manifest(path, "demo-paper", {"artifact": name}, [], args.seed)
+        _write_manifest(path, "demo-paper", {**_params(args), "artifact": name}, [], args.seed)
     print(f"artifacts written to {out_dir}")
     return EXIT_OK
 

@@ -300,14 +300,24 @@ def _utf8_error(path) -> InvalidParameterError:
     return InvalidParameterError(f"{path}: not UTF-8")
 
 
+def _points(path, cls, rows: np.ndarray) -> list:
+    """``cls(*row)`` for each row; a point ``cls`` rejects names its file and data row."""
+    points = []
+    for n, row in enumerate(rows.tolist(), start=1):
+        try:
+            points.append(cls(*row))
+        except ValidationError as err:
+            raise InvalidParameterError(f"{path}: row {n}: {err}") from None
+    return points
+
+
 def read_linewidth_points_csv(path) -> list[LinewidthPoint]:
     rows = _read_csv(path, ("resonance_hz", "hwhm_hz", "weight"), optional=1)
-    return [LinewidthPoint(*row) for row in rows.tolist()]
+    return _points(path, LinewidthPoint, rows)
 
 
 def read_phase_points_csv(path) -> list[PhasePoint]:
-    rows = _read_csv(path, ("freq_hz", "phase_rad"))
-    return [PhasePoint(*row) for row in rows.tolist()]
+    return _points(path, PhasePoint, _read_csv(path, ("freq_hz", "phase_rad")))
 
 
 def write_phase_points_csv(path, points) -> None:

@@ -55,8 +55,10 @@ class PhasePoint:
     phase_rad: float
 
     def __post_init__(self):
-        if not math.isfinite(self.freq_hz):
-            raise InvalidParameterError("freq_hz must be finite")
+        for name in ("freq_hz", "phase_rad"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if not abs(self.phase_rad) < math.pi:
             raise InvalidParameterError("|phase_rad| must be below pi")
 

@@ -132,8 +132,9 @@ def fit_tse(
     Raises
     ------
     InvalidParameterError
-        Fewer than 3 points, resonance frequencies spanning less than a
-        factor 2, or a held intrinsic width that is negative or not finite.
+        Fewer than 3 points, weights on some points but not all, resonance
+        frequencies spanning less than a factor 2, or a held intrinsic width
+        that is negative or not finite.
     FitFailureError
         If the fitted T_SE comes out nonpositive (data inconsistent with
         spin-exchange broadening).
@@ -143,9 +144,10 @@ def fit_tse(
         raise InvalidParameterError("need at least 3 linewidth points")
     nu = np.array([p.resonance_hz for p in points])
     hwhm = np.array([p.hwhm_hz for p in points])
-    weights = None
-    if any(p.weight is not None for p in points):
-        weights = np.array([p.weight if p.weight is not None else 1.0 for p in points])
+    given = [p.weight for p in points if p.weight is not None]
+    if 0 < len(given) < len(points):
+        raise InvalidParameterError("weight must be given for every point or for none")
+    weights = np.array(given) if given else None
     if nu.max() < 2.0 * nu.min():
         raise InvalidParameterError("resonance frequencies must span at least a factor 2")
     if intrinsic_hwhm_hz is not None and not 0.0 <= intrinsic_hwhm_hz < np.inf:

@@ -743,5 +743,43 @@ def test_fit_serf_non_finite_point_exits_2(capsys, tmp_path, body, message):
     path.write_text(body)
     out = tmp_path / "serf.json"
     assert main(["fit-serf", "--in", str(path), "--out", str(out)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: row 2: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("20,nan", "phase_rad must be finite, got nan"), ("20,4", "|phase_rad| must be below pi")],
+    ids=["nan_phase", "phase_out_of_range"],
+)
+def test_phase_fit_rejected_point_names_file_and_row(capsys, tmp_path, row, message):
+    path = _phase_points_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[4] = row  # the fourth data row
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "phase.json"
+    assert main(["phase-fit", "--in", str(path), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {path}: row 4: {message}\n"
+    assert not out.exists()
+
+
+def test_psd_bottom_channel_of_single_series_exits_2(capsys, tmp_path):
+    series = tmp_path / "diff.csv"
+    dataio.write_series_csv(series, FS, np.random.default_rng(3).normal(0, 1e-15, 8192))
+    out = tmp_path / "psd.csv"
+    args = ["psd", "--in", str(series), "--out", str(out)]
+    assert main([*args, "--channel", "bottom"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: {series}: a t_s,value_t series has no bottom channel\n"
+    )
+    assert not out.exists()
+    assert main([*args, "--channel", "top"]) == EXIT_OK
+
+
+def test_demo_manifests_record_the_seed(tmp_path, capsys):
+    dirs = [tmp_path / "seed7", tmp_path / "seed8"]
+    for seed, out_dir in zip(("7", "8"), dirs):
+        assert main(["demo-paper", "--seed", seed, "--out-dir", str(out_dir)]) == EXIT_OK
+    manifests = [json.loads((d / "summary.json.manifest.json").read_text()) for d in dirs]
+    assert manifests[0]["params"] == {"artifact": "summary.json", "seed": 7}
+    assert manifests[0]["config_hash"] != manifests[1]["config_hash"]

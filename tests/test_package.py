@@ -1,0 +1,81 @@
+"""``import serfkit`` loads nothing, yet ``serfkit.X`` resolves every exported name."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import serfkit
+
+MODULES = [
+    "cellchem", "constants", "errors", "fitting", "gradiometer", "lineshape", "nmrsignal",
+    "noisepsd", "records", "serf", "simulator",
+]
+
+# Run in a fresh interpreter, where no other test has imported numpy or a
+# serfkit module yet; prints what it saw as one JSON object.
+PROBE = """
+import json, sys
+import serfkit
+loaded = sorted(m for m in sys.modules if m.startswith("serfkit.") or m == "numpy")
+exported = [name for name in serfkit.__all__ if name != "__version__"]
+misplaced = [
+    name for name in exported
+    if getattr(sys.modules[getattr(serfkit, name).__module__], name) is not getattr(serfkit, name)
+]
+star = {}
+exec("from serfkit import *", star)
+try:
+    serfkit.nope
+    unknown = None
+except AttributeError as err:
+    unknown = str(err)
+print(json.dumps({
+    "loaded": loaded,
+    "misplaced": misplaced,
+    "exported": exported,
+    "star": sorted(set(star) - {"__builtins__"}),
+    "all": sorted(serfkit.__all__),
+    "modules": {name: getattr(serfkit, name).__name__ for name in sys.argv[1:]},
+    "dir": dir(serfkit),
+    "unknown": unknown,
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def seen():
+    env = dict(os.environ, PYTHONPATH=str(Path(serfkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *MODULES],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy(seen):
+    assert seen["loaded"] == []
+
+
+def test_every_exported_name_is_the_object_in_its_module(seen):
+    assert len(seen["all"]) == 61
+    assert seen["misplaced"] == []
+
+
+def test_star_import_binds_exactly_all(seen):
+    assert seen["star"] == seen["all"]
+
+
+def test_module_attributes_resolve(seen):
+    assert seen["modules"] == {name: f"serfkit.{name}" for name in MODULES}
+
+
+def test_dir_lists_all_exports_and_modules(seen):
+    assert set(seen["all"]) | set(MODULES) <= set(seen["dir"])
+
+
+def test_unknown_name_raises_attribute_error(seen):
+    assert seen["unknown"] == "module 'serfkit' has no attribute 'nope'"

@@ -113,6 +113,12 @@ class TestFitTse:
         fit = fit_tse(spoiled)
         assert fit.t_se_s == pytest.approx(8.6e-6, rel=1e-6)
 
+    def test_weights_on_some_points_only_rejected(self):
+        points = make_points(8.6e-6, 10.45, np.arange(20.0, 201.0, 20.0))
+        mixed = [LinewidthPoint(points[0].resonance_hz, points[0].hwhm_hz, weight=4.0)]
+        with pytest.raises(InvalidParameterError, match="every point or for none"):
+            fit_tse(mixed + points[1:])
+
     def test_needs_three_points(self):
         points = make_points(8.6e-6, 10.0, [50.0, 100.0])
         with pytest.raises(InvalidParameterError):
