@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import K_D1_FREQ_HZ
 from .errors import (
     InvalidCoefficientsError,
     InvalidParameterError,
@@ -117,20 +116,3 @@ def predict_shift_width(
         coeffs = K_D1_COEFFICIENTS
     shift_ghz, width_ghz = coeffs.matrix @ [comp.he_amagat, comp.n2_amagat]
     return float(shift_ghz), float(width_ghz)
-
-
-def predict_line(
-    comp: CellComposition, coeffs: GasCoefficients | None = None
-) -> tuple[float, float]:
-    """Forward model: composition to (center_hz, width_ghz).
-
-    The center is the potassium D1 frequency plus the pressure shift. Note the
-    absolute center carries the D1 frequency, so recovering a GHz-scale
-    shift from it costs a few digits; use :func:`predict_shift_width` when
-    the shift itself is wanted.
-    """
-    if coeffs is None:
-        coeffs = K_D1_COEFFICIENTS
-    shift_ghz, width_ghz = predict_shift_width(comp, coeffs)
-    center_hz = K_D1_FREQ_HZ + 1e9 * shift_ghz
-    return float(center_hz), float(width_ghz)

@@ -62,10 +62,8 @@ def _pair(name: str, form: str):
     return parse
 
 
-def _write_manifest(out_path, command: str, params: dict, input_paths, seed) -> None:
-    inputs = [
-        {"path": os.fspath(p), "sha256": dataio.sha256_file(p)} for p in input_paths
-    ]
+def _write_manifest(out_path, command: str, params: dict, inputs, seed) -> None:
+    """``inputs`` are ``{"path", "sha256"}`` entries, hashed before the output was written."""
     hashed = {
         "command": command,
         "params": params,
@@ -105,11 +103,13 @@ def _finish(args, result: dict, write=None, seed=None) -> int:
     input and output paths, which it records by hash or not at all.
     """
     if args.out:
+        # Hashed first: ``--out`` may name an input, which the write replaces.
+        paths = [getattr(args, name) for name in _INPUT_ARGS if getattr(args, name, None)]
+        inputs = [{"path": os.fspath(p), "sha256": dataio.sha256_file(p)} for p in paths]
         if write is None:
             dataio.write_json(args.out, result)
         else:
             write(args.out)
-        inputs = [getattr(args, name) for name in _INPUT_ARGS if getattr(args, name, None)]
         _write_manifest(args.out, args.command, _params(args), inputs, seed)
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK

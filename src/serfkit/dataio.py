@@ -97,11 +97,10 @@ _CONVERTERS = {
 }
 
 
-def _from_json(cls, raw, what: str, **overrides):
+def _from_json(cls, raw, what: str):
     """Dataclass ``cls`` from a JSON object holding some of its fields.
 
-    Missing fields take the dataclass defaults; ``overrides`` replace values
-    and may supply fields the object lacks.
+    Missing fields take the dataclass defaults.
 
     Raises
     ------
@@ -119,7 +118,6 @@ def _from_json(cls, raw, what: str, **overrides):
         f.name
         for f in fields
         if f.name not in raw
-        and f.name not in overrides
         and f.default is dataclasses.MISSING
         and f.default_factory is dataclasses.MISSING
     ]
@@ -134,7 +132,7 @@ def _from_json(cls, raw, what: str, **overrides):
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"{what}: bad value for {key}: {err}") from None
     try:
-        return cls(**{**values, **overrides})
+        return cls(**values)
     except ValidationError as err:  # from the dataclass's own checks
         raise ConfigError(f"{what}: {err}") from None
     except (TypeError, ValueError, OverflowError) as err:
@@ -244,10 +242,6 @@ def _sample_rate(path, t: np.ndarray) -> float:
     return (len(t) - 1) / (t[-1] - t[0])
 
 
-def write_sweep_csv(path, sweep: FrequencySweep) -> None:
-    _write_csv(path, ("freq_hz", "value"), (sweep.freqs_hz, sweep.values))
-
-
 def read_sweep_csv(path) -> FrequencySweep:
     data = _read_csv(path, ("freq_hz", "value"))
     return FrequencySweep(freqs_hz=data[:, 0], values=data[:, 1])
@@ -318,12 +312,6 @@ def read_linewidth_points_csv(path) -> list[LinewidthPoint]:
 
 def read_phase_points_csv(path) -> list[PhasePoint]:
     return _points(path, PhasePoint, _read_csv(path, ("freq_hz", "phase_rad")))
-
-
-def write_phase_points_csv(path, points) -> None:
-    freqs = [p.freq_hz for p in points]
-    phases = [p.phase_rad for p in points]
-    _write_csv(path, ("freq_hz", "phase_rad"), (freqs, phases))
 
 
 def write_psd_csv(path, psd: PsdEstimate) -> None:

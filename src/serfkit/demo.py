@@ -117,14 +117,12 @@ def _gradiometer_stage(seed: int, f1_hz: float, f2_hz: float) -> dict:
         tone_freq_hz=TONE_FREQ_HZ,
         tone_amp_t=TONE_AMP_T,
     )
-    diff = subtract(record, cal, phase_correct=True)
+    diff = subtract(record, cal)
     psd_top = welch_asd(record.top_t, SAMPLE_RATE_HZ)
     psd_diff = welch_asd(diff, SAMPLE_RATE_HZ)
     return {
         "amplitude_ratio": ratio,
-        "reduction_ratio": reduction_ratio(
-            record, cal, TONE_FREQ_HZ, phase_correct=True, difference=diff
-        ),
+        "reduction_ratio": reduction_ratio(record, cal, TONE_FREQ_HZ, difference=diff),
         "single_floor_t_sqrthz": band_floor(psd_top, 2.0, 10.0),
         "difference_floor_t_sqrthz": band_floor(psd_diff, 20.0, 30.0),
         "_cal": cal,

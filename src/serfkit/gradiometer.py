@@ -181,11 +181,6 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
     return float(mag_top[k] / mag_bottom[k])
 
 
-def tone_amplitude_in_series(series: np.ndarray, sample_rate_hz: float, tone_freq_hz: float) -> float:
-    """Hann-window-corrected tone amplitude in a single series (no SNR gate)."""
-    return _tone_amplitude(np.array(series, dtype=float), sample_rate_hz, tone_freq_hz)
-
-
 def subtract(
     record: TwoChannelRecord, cal: GradCalibration, phase_correct: bool = True
 ) -> np.ndarray:
@@ -241,7 +236,6 @@ def reduction_ratio(
     record: TwoChannelRecord,
     cal: GradCalibration,
     tone_freq_hz: float,
-    phase_correct: bool = True,
     *,
     difference: np.ndarray | None = None,
 ) -> float:
@@ -249,11 +243,12 @@ def reduction_ratio(
 
     Infinite when the residual vanishes (perfectly matched channels).
 
-    A caller that already holds the gradiometric difference passes it as
-    ``difference``, which must equal ``subtract(record, cal,
-    phase_correct=phase_correct)``; the subtraction is then not run again
-    and the result is the same float. The array is only read, never
-    changed. Its length is checked, its values are not.
+    The residual is measured in ``difference``, which defaults to
+    ``subtract(record, cal)``. A caller that already holds that difference
+    passes it, so the subtraction is not run again; passing
+    ``subtract(record, cal, phase_correct=False)`` gives the ratio without
+    the phase calibration. The array is only read, never changed. Its
+    length is checked, its values are not.
 
     The top channel is windowed in a copy that is released before the
     subtraction runs; the difference is then windowed in place (a copy of
@@ -274,7 +269,7 @@ def reduction_ratio(
         record.top_t.copy(), record.sample_rate_hz, tone_freq_hz, " in top channel"
     )
     if difference is None:
-        diff = subtract(record, cal, phase_correct=phase_correct)
+        diff = subtract(record, cal)
     else:
         diff = np.array(difference, dtype=float)
     residual_amp = _tone_amplitude(diff, record.sample_rate_hz, tone_freq_hz)

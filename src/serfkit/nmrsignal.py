@@ -8,6 +8,7 @@ gyromagnetic ratio, which is a deliberate simplification.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -58,7 +59,6 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class Isotope:
-    symbol: str
     gyromag_rad_s_t: float
     spin: float
     natural_abundance: float
@@ -71,10 +71,22 @@ def thermal_polarization(
 
     Odd in the field sign, saturating below 1 in magnitude, and linear for
     small arguments.
+
+    Raises
+    ------
+    InvalidParameterError
+        Nonpositive temperature, ``2*kB*T`` that underflows to zero, or an
+        argument that is NaN (an infinite field over an infinite temperature).
     """
     if not temperature_k > 0:
         raise InvalidParameterError("temperature_k must be positive")
-    pol = np.tanh(HBAR * gyromag_rad_s_t * prepol_field_t / (2.0 * K_BOLTZMANN * temperature_k))
+    thermal_j = 2.0 * K_BOLTZMANN * temperature_k
+    x = HBAR * gyromag_rad_s_t * prepol_field_t / thermal_j if thermal_j > 0 else math.nan
+    if math.isnan(x):
+        raise InvalidParameterError(
+            f"thermal polarization at {temperature_k:g} K is out of float range"
+        )
+    pol = np.tanh(x)
     # float64 rounds tanh to +-1 for arguments beyond ~19; keep |P| < 1.
     cap = np.nextafter(1.0, 0.0)
     return float(np.clip(pol, -cap, cap))
@@ -93,6 +105,8 @@ def dipole_field(spec: SampleSpec) -> float:
     GeometryError
         Detector distance inside the equivalent sample radius, where the
         point-dipole picture breaks down.
+    InvalidParameterError
+        The field, or a step of it, is out of float range.
     """
     if spec.distance_m <= spec.equivalent_radius_m:
         raise GeometryError(
@@ -102,7 +116,13 @@ def dipole_field(spec: SampleSpec) -> float:
     pol = thermal_polarization(spec.gyromag_rad_s_t, spec.prepol_field_t, spec.temperature_k)
     n_spins = spec.volume_m3 * spec.spin_density_per_m3
     moment = n_spins * spec.natural_abundance * pol * (HBAR * spec.gyromag_rad_s_t / 2.0)
-    return float(MU0 / (4.0 * np.pi) * 2.0 * moment / spec.distance_m**3)
+    try:
+        field_t = MU0 / (4.0 * np.pi) * 2.0 * moment / spec.distance_m**3
+    except (ZeroDivisionError, OverflowError):
+        field_t = math.nan
+    if not math.isfinite(field_t):
+        raise InvalidParameterError(f"dipole field at {spec.distance_m:g} m is out of float range")
+    return float(field_t)
 
 
 def load_isotopes() -> dict[str, Isotope]:
@@ -111,7 +131,8 @@ def load_isotopes() -> dict[str, Isotope]:
     ``SERFKIT_DATA_DIR`` names a directory whose ``isotopes.json`` is read
     instead. Entries are checked like configs.
     """
-    # Imported here so that ``import serfkit`` does not load the I/O layer.
+    # Imported here so that ``import serfkit.nmrsignal`` does not load
+    # ``dataio`` and every module it imports.
     from .dataio import _from_json, _parse_json
 
     override = os.environ.get(DATA_DIR_ENV)
@@ -122,7 +143,7 @@ def load_isotopes() -> dict[str, Isotope]:
     if not isinstance(entries, dict):
         raise ConfigError(f"{table}: needs an \"isotopes\" object")
     return {
-        symbol: _from_json(Isotope, entry, f"{table}: isotope {symbol}", symbol=symbol)
+        symbol: _from_json(Isotope, entry, f"{table}: isotope {symbol}")
         for symbol, entry in entries.items()
     }
 

@@ -229,11 +229,16 @@ def calibrate_tesla(psd: PsdEstimate, tone_freq_hz: float, tone_amp_t: float) ->
     ------
     MissingToneError
         Tone not visible above the local floor.
+    InvalidParameterError
+        ``tone_amp_t`` not finite and positive, or a scale that overflows.
     """
-    if not tone_amp_t > 0:
-        raise InvalidParameterError("tone_amp_t must be positive")
+    if not 0 < tone_amp_t < math.inf:
+        raise InvalidParameterError(f"tone_amp_t must be finite and positive, got {tone_amp_t:g}")
     measured = tone_amplitude(psd, tone_freq_hz)
-    return tone_amp_t / measured
+    scale = tone_amp_t / measured
+    if not math.isfinite(scale):
+        raise InvalidParameterError(f"tesla scale {tone_amp_t:g} T / {measured:g} T overflows")
+    return scale
 
 
 def band_floor(psd: PsdEstimate, f_lo_hz: float, f_hi_hz: float) -> float:

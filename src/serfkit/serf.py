@@ -41,11 +41,7 @@ class SerfParams:
     intrinsic_hwhm_hz: float = 0.0
 
     def __post_init__(self):
-        two_i = 2.0 * self.nuclear_spin_i
-        if two_i < 1 or abs(two_i - round(two_i)) > 1e-9:
-            raise InvalidParameterError("nuclear spin must be a positive half-integer")
-        if not self.slowing_q > 0:
-            raise InvalidParameterError("slowing_q must be positive")
+        se_broadening_factor(self.nuclear_spin_i, self.slowing_q)
         if not self.t_se_s > 0:
             raise InvalidParameterError("t_se_s must be positive")
         if self.intrinsic_hwhm_hz < 0:
@@ -91,7 +87,21 @@ def se_broadening_factor(nuclear_spin_i: float, slowing_q: float) -> float:
 
     Equals 10 for I = 3/2, q = 6. Negative values (q below 2I+1) are
     unphysical for this model and rejected.
+
+    Raises
+    ------
+    InvalidParameterError
+        I is not a positive half-integer, or q is not finite and positive.
+    InvalidSlowingFactorError
+        q is below 2I+1.
     """
+    two_i = 2.0 * nuclear_spin_i
+    if not (1 <= two_i < math.inf and abs(two_i - round(two_i)) <= 1e-9):
+        raise InvalidParameterError(
+            f"nuclear spin must be a positive half-integer, got {nuclear_spin_i:g}"
+        )
+    if not 0 < slowing_q < math.inf:
+        raise InvalidParameterError(f"slowing_q must be finite and positive, got {slowing_q:g}")
     factor = 0.5 * slowing_q**2 - 0.5 * (2.0 * nuclear_spin_i + 1.0) ** 2
     if factor < 0:
         raise InvalidSlowingFactorError(

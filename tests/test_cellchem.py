@@ -7,11 +7,9 @@ from serfkit.cellchem import (
     K_D1_COEFFICIENTS,
     CellComposition,
     GasCoefficients,
-    predict_line,
     predict_shift_width,
     solve_composition,
 )
-from serfkit.constants import K_D1_FREQ_HZ
 from serfkit.errors import (
     InvalidCoefficientsError,
     InvalidParameterError,
@@ -38,21 +36,20 @@ def test_pure_nitrogen_column():
 
 
 def test_predict_reference_cell():
-    center_hz, width_ghz = predict_line(CellComposition(1.86, 0.34))
-    assert (center_hz - K_D1_FREQ_HZ) / 1e9 == pytest.approx(1.916, abs=1e-12)
+    shift_ghz, width_ghz = predict_shift_width(CellComposition(1.86, 0.34))
+    assert shift_ghz == pytest.approx(1.916, abs=1e-12)
     assert width_ghz == pytest.approx(31.878, abs=1e-12)
 
 
 def test_predict_empty_cell():
-    center_hz, width_ghz = predict_line(CellComposition(0.0, 0.0))
-    assert center_hz == K_D1_FREQ_HZ
+    shift_ghz, width_ghz = predict_shift_width(CellComposition(0.0, 0.0))
+    assert shift_ghz == 0.0
     assert width_ghz == 0.0
 
 
 def test_predict_coefficient_sums():
-    _, width = predict_line(CellComposition(1.0, 1.0))
-    center, _ = predict_line(CellComposition(1.0, 1.0))
-    assert (center - K_D1_FREQ_HZ) / 1e9 == pytest.approx(-11.8, abs=1e-12)
+    shift, width = predict_shift_width(CellComposition(1.0, 1.0))
+    assert shift == pytest.approx(-11.8, abs=1e-12)
     assert width == pytest.approx(34.3, abs=1e-12)
 
 
@@ -66,28 +63,16 @@ def test_round_trip_random_compositions():
         assert back.n2_amagat == pytest.approx(comp.n2_amagat, rel=1e-12, abs=1e-12)
 
 
-def test_round_trip_through_absolute_center():
-    # Going through the absolute line center trades ~5 digits to the
-    # reference offset; still far tighter than any measurement.
-    comp = CellComposition(1.86, 0.34)
-    center_hz, width_ghz = predict_line(comp)
-    back = solve_composition((center_hz - K_D1_FREQ_HZ) / 1e9, width_ghz)
-    assert back.he_amagat == pytest.approx(comp.he_amagat, rel=1e-9)
-    assert back.n2_amagat == pytest.approx(comp.n2_amagat, rel=1e-9)
-
-
 def test_linearity_of_prediction():
     c1 = CellComposition(1.2, 0.4)
     c2 = CellComposition(0.3, 2.0)
     a, b = 0.7, 1.9
     mixed = CellComposition(a * c1.he_amagat + b * c2.he_amagat,
                             a * c1.n2_amagat + b * c2.n2_amagat)
-    p1 = np.array(predict_line(c1))
-    p2 = np.array(predict_line(c2))
-    pm = np.array(predict_line(mixed))
-    # The center carries the reference offset, so compare shifts.
-    ref = np.array([K_D1_FREQ_HZ, 0.0])
-    assert pm - ref == pytest.approx(a * (p1 - ref) + b * (p2 - ref), rel=1e-12)
+    p1 = np.array(predict_shift_width(c1))
+    p2 = np.array(predict_shift_width(c2))
+    pm = np.array(predict_shift_width(mixed))
+    assert pm == pytest.approx(a * p1 + b * p2, rel=1e-12)
 
 
 def test_negative_solution_reports_raw_values():

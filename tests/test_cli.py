@@ -14,7 +14,7 @@ import serfkit
 from serfkit import dataio
 from serfkit.cli import EXIT_FIT_FAILURE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from serfkit.gradiometer import phase_difference
-from serfkit.lineshape import FrequencySweep, eval_lorentzian
+from serfkit.lineshape import eval_lorentzian
 from serfkit.records import TwoChannelRecord
 
 FS = 1000.0
@@ -117,7 +117,7 @@ def test_simulate_bad_config_key_exits_2(tmp_path):
 def test_fit_absorption_pipeline(capsys, tmp_path):
     freqs = np.linspace(389.24e12, 389.34e12, 301)
     vals = eval_lorentzian(389.2879e12, 31.98e9, -0.9, 1.0, freqs)
-    dataio.write_sweep_csv(tmp_path / "sweep.csv", FrequencySweep(freqs, vals))
+    dataio._write_csv(tmp_path / "sweep.csv", ("freq_hz", "value"), (freqs, vals))
     out = tmp_path / "fit.json"
     code = main(["fit-absorption", "--in", str(tmp_path / "sweep.csv"), "--out", str(out)])
     assert code == EXIT_OK
@@ -128,9 +128,7 @@ def test_fit_absorption_pipeline(capsys, tmp_path):
 
 
 def test_fit_absorption_flat_data_exits_2(tmp_path):
-    dataio.write_sweep_csv(
-        tmp_path / "flat.csv", FrequencySweep(np.arange(10.0), np.ones(10))
-    )
+    dataio._write_csv(tmp_path / "flat.csv", ("freq_hz", "value"), (np.arange(10.0), np.ones(10)))
     assert main(["fit-absorption", "--in", str(tmp_path / "flat.csv"),
                  "--out", str(tmp_path / "f.json")]) == EXIT_VALIDATION
 
@@ -138,7 +136,7 @@ def test_fit_absorption_flat_data_exits_2(tmp_path):
 def test_fit_response_reference_linewidth(tmp_path):
     freqs = np.linspace(70.0, 170.0, 300)
     vals = eval_lorentzian(120.0, 10.45, 1.0, 0.0, freqs)
-    dataio.write_sweep_csv(tmp_path / "resp.csv", FrequencySweep(freqs, vals))
+    dataio._write_csv(tmp_path / "resp.csv", ("freq_hz", "value"), (freqs, vals))
     out = tmp_path / "fit.json"
     assert main(["fit-response", "--in", str(tmp_path / "resp.csv"), "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["hwhm_hz"] == pytest.approx(10.45, rel=1e-9)
@@ -636,8 +634,11 @@ def _tone_record_csv(tmp_path):
         (["psd", "--calibrate-tone", "nan:1e-12"], "tone frequency must be finite, got nan"),
         (["calibrate", "--tone-freq", "10", "--f1", "inf", "--f2", "68.8",
           "--tone-amp", "nan"], "f1_hz must be finite, got inf"),
+        (["psd", "--calibrate-tone", "10:inf"], "tone_amp_t must be finite and positive, got inf"),
+        (["psd", "--calibrate-tone", "10:1e300"], "tesla scale 1e+300 T / 1.6e-11 T overflows"),
     ],
-    ids=["calibrate_nan_tone", "psd_nan_tone", "calibrate_inf_f1"],
+    ids=["calibrate_nan_tone", "psd_nan_tone", "calibrate_inf_f1", "psd_inf_tone_amp",
+         "psd_tesla_scale_overflow"],
 )
 def test_non_finite_tone_or_calibration_exits_2(capsys, tmp_path, command, message):
     rec = _tone_record_csv(tmp_path)
@@ -745,6 +746,55 @@ def test_fit_serf_non_finite_point_exits_2(capsys, tmp_path, body, message):
     assert main(["fit-serf", "--in", str(path), "--out", str(out)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {path}: row 2: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--nuclear-spin", "0.7"], "nuclear spin must be a positive half-integer, got 0.7"),
+        (["--nuclear-spin", "nan"], "nuclear spin must be a positive half-integer, got nan"),
+        (["--slowing-q", "-6"], "slowing_q must be finite and positive, got -6"),
+        (["--slowing-q", "nan"], "slowing_q must be finite and positive, got nan"),
+        (["--slowing-q", "inf"], "slowing_q must be finite and positive, got inf"),
+    ],
+    ids=["spin_not_half_integer", "nan_spin", "negative_q", "nan_q", "inf_q"],
+)
+def test_fit_serf_bad_spin_or_slowing_factor_exits_2(capsys, tmp_path, option, message):
+    res = np.arange(20.0, 201.0, 20.0)
+    widths = 10.45 + 2 * math.pi * 10.0 * 8.6e-6 * res**2
+    path = tmp_path / "pts.csv"
+    path.write_text("resonance_hz,hwhm_hz\n" + "".join(f"{f},{w}\n" for f, w in zip(res, widths)))
+    out = tmp_path / "serf.json"
+    assert main(["fit-serf", "--in", str(path), *option, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--distance-m", "1e103"], "dipole field at 1e+103 m is out of float range"),
+        (["--temperature-k", "1e-320"],
+         "thermal polarization at 9.99989e-321 K is out of float range"),
+    ],
+    ids=["distance_cubed_overflows", "temperature_underflows"],
+)
+def test_nmr_estimate_out_of_float_range_exits_2(capsys, tmp_path, option, message):
+    out = tmp_path / "est.json"
+    assert main(["nmr-estimate", *option, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_manifest_hashes_the_input_that_the_output_replaces(tmp_path):
+    rec = _tone_record_csv(tmp_path)
+    original = dataio.sha256_file(rec)
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps(GOOD_CAL))
+    assert main(["subtract", "--in", str(rec), "--cal", str(cal), "--out", str(rec)]) == EXIT_OK
+    manifest = json.loads(Path(f"{rec}.manifest.json").read_text())
+    assert dataio.sha256_file(rec) != original
+    assert manifest["inputs"][0] == {"path": str(rec), "sha256": original}
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from serfkit.serf import LinewidthPoint
 def test_sweep_round_trip(tmp_path):
     path = tmp_path / "sweep.csv"
     sweep = FrequencySweep(np.linspace(1.0, 2.0, 7), np.linspace(-1.0, 1.0, 7) ** 3)
-    dataio.write_sweep_csv(path, sweep)
+    dataio._write_csv(path, ("freq_hz", "value"), (sweep.freqs_hz, sweep.values))
     back = dataio.read_sweep_csv(path)
     assert np.array_equal(back.freqs_hz, sweep.freqs_hz)
     assert np.array_equal(back.values, sweep.values)
@@ -49,7 +49,9 @@ def test_linewidth_points_with_and_without_weight(tmp_path):
 def test_phase_points_round_trip(tmp_path):
     path = tmp_path / "phase.csv"
     points = [PhasePoint(5.0, -0.01), PhasePoint(10.0, -0.05)]
-    dataio.write_phase_points_csv(path, points)
+    dataio._write_csv(
+        path, ("freq_hz", "phase_rad"), ([p.freq_hz for p in points], [p.phase_rad for p in points])
+    )
     assert dataio.read_phase_points_csv(path) == points
 
 
@@ -92,7 +94,7 @@ def test_seventeen_digit_round_trip(tmp_path):
     path = tmp_path / "sweep.csv"
     values = np.array([np.pi, 1.0 / 3.0, 1e-300, 2.2250738585072014e-308, 0.1])
     sweep = FrequencySweep(np.arange(5.0), values)
-    dataio.write_sweep_csv(path, sweep)
+    dataio._write_csv(path, ("freq_hz", "value"), (sweep.freqs_hz, sweep.values))
     assert np.array_equal(dataio.read_sweep_csv(path).values, values)
 
 

@@ -15,6 +15,7 @@ from serfkit.errors import (
 from serfkit.gradiometer import (
     GradCalibration,
     PhasePoint,
+    _tone_amplitude,
     amplitude_ratio,
     fit_phase_model,
     magnitude_ratio,
@@ -22,7 +23,6 @@ from serfkit.gradiometer import (
     phase_extremum,
     reduction_ratio,
     subtract,
-    tone_amplitude_in_series,
 )
 from serfkit.noisepsd import _hann_sum, calibrate_tesla, hann_window, welch_asd
 from serfkit.records import TwoChannelRecord
@@ -159,7 +159,7 @@ class TestAmplitudeRatio:
         with pytest.raises(MissingToneError, match="Nyquist"):
             amplitude_ratio(TwoChannelRecord(FS, x, x.copy()), freq)
         with pytest.raises(MissingToneError, match="Nyquist"):
-            tone_amplitude_in_series(x, FS, freq)
+            _tone_amplitude(x.copy(), FS, freq)
         with pytest.raises(MissingToneError, match="Nyquist"):
             calibrate_tesla(welch_asd(x, FS), freq, 16e-12)
 
@@ -205,8 +205,8 @@ class TestSubtract:
         rec = simulate_record(cfg)
         ratio = amplitude_ratio(rec, 10.0)
         out = subtract(rec, self.cal(ratio=ratio), phase_correct=False)
-        residual = tone_amplitude_in_series(out, FS, 10.0)
-        top_amp = tone_amplitude_in_series(rec.top_t, FS, 10.0)
+        residual = _tone_amplitude(out.copy(), FS, 10.0)
+        top_amp = _tone_amplitude(rec.top_t.copy(), FS, 10.0)
         predicted = 2.0 * math.sin(abs(phase_difference(10.0, F1, F2)) / 2.0)
         assert residual / top_amp == pytest.approx(predicted, rel=0.05)
 
@@ -235,7 +235,8 @@ class TestReductionRatio:
     def test_identical_channels_report_infinity(self):
         rec = tone_record()
         cal = GradCalibration(1.0, F1, F2, tone_freq_hz=10.0)
-        assert reduction_ratio(rec, cal, 10.0, phase_correct=False) == math.inf
+        no_phase = subtract(rec, cal, phase_correct=False)
+        assert reduction_ratio(rec, cal, 10.0, difference=no_phase) == math.inf
 
     def test_simulated_tone_reduction(self):
         cfg = SimConfig(FS, 30.0, seed=7, f1_hz=F1, f2_hz=F2,
@@ -336,7 +337,9 @@ def test_subtract_and_ratios_match_reference_bit_for_bit(name):
         assert np.array_equal(subtract(rec, cal, phase_correct=phase), expected)
         mag_diff, _ = _reference_magnitude(expected)
         residual_amp = float(2.0 * mag_diff[_reference_bin(mag_diff, len(rec), 10.0)] / window_sum)
-        assert reduction_ratio(rec, cal, 10.0, phase_correct=phase) == top_amp / residual_amp
+        # Without a difference the ratio is the phase-corrected one.
+        difference = None if phase else subtract(rec, cal, phase_correct=False)
+        assert reduction_ratio(rec, cal, 10.0, difference=difference) == top_amp / residual_amp
 
 
 def test_subtract_without_calibration_tone_matches_reference():
@@ -353,12 +356,11 @@ def test_reduction_ratio_given_difference_matches_default_path(name):
     else:
         rec = simulate_record(REFERENCE_CONFIGS[name])
     cal = GradCalibration(amplitude_ratio(rec, 10.0), F1, F2, tone_freq_hz=10.0)
-    for phase in (True, False):
-        diff = subtract(rec, cal, phase_correct=phase)
-        before = diff.copy()
-        given = reduction_ratio(rec, cal, 10.0, phase_correct=phase, difference=diff)
-        assert given == reduction_ratio(rec, cal, 10.0, phase_correct=phase)
-        assert np.array_equal(diff, before)
+    diff = subtract(rec, cal)
+    before = diff.copy()
+    given = reduction_ratio(rec, cal, 10.0, difference=diff)
+    assert given == reduction_ratio(rec, cal, 10.0)
+    assert np.array_equal(diff, before)
 
 
 @pytest.mark.parametrize("shape", [(8191,), (8193,), (2, 8192)])
@@ -411,10 +413,9 @@ def test_subtract_and_reduction_ratio_match_reference_at_block_edges(n, phase):
     mag_diff, _ = _reference_magnitude(expected)
     top_amp = float(2.0 * mag_top[_reference_bin(mag_top, n, 10.0)] / window_sum)
     residual_amp = float(2.0 * mag_diff[_reference_bin(mag_diff, n, 10.0)] / window_sum)
-    assert reduction_ratio(rec, cal, 10.0, phase_correct=phase) == top_amp / residual_amp
-    assert reduction_ratio(
-        rec, cal, 10.0, phase_correct=phase, difference=diff
-    ) == top_amp / residual_amp
+    if phase:
+        assert reduction_ratio(rec, cal, 10.0) == top_amp / residual_amp
+    assert reduction_ratio(rec, cal, 10.0, difference=diff) == top_amp / residual_amp
     assert diff.tobytes() == expected.tobytes()
 
 
@@ -464,7 +465,7 @@ def test_amplitude_ratio_extra_memory(memory_record):
 
 
 def test_tone_amplitude_in_series_extra_memory(memory_record):
-    peak = _traced_peak(lambda: tone_amplitude_in_series(memory_record.top_t, FS, 10.0))
+    peak = _traced_peak(lambda: _tone_amplitude(memory_record.top_t.copy(), FS, 10.0))
     assert peak <= 2.25 * memory_record.top_t.nbytes
 
 
