@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, InvalidParameterError
 from .fitting import fit_damped_least_squares
-from .noisepsd import _BLOCK, _hann_spectra, _hann_sum, _tone_bin, _tone_gate
+from .noisepsd import _BLOCK, _hann_bins, _tone_bin, _tone_gate, _tone_span
 from .records import TwoChannelRecord
 
 _DEGENERATE_PHASE_RAD = 1e-9
@@ -147,38 +147,58 @@ def fit_phase_model(points) -> PhaseModelFit:
     return PhaseModelFit(f1_hz=float(f1), f2_hz=float(f2), covariance=res.covariance)
 
 
-def _tone_amplitude(
-    series: np.ndarray, sample_rate_hz: float, tone_freq_hz: float, where: str | None = None
-) -> float:
-    """Hann-window-corrected tone amplitude; ``series`` is overwritten.
-
-    Given ``where``, the tone must also pass the SNR gate, and a failure
-    names ``where``.
-    """
-    (mag,) = _hann_spectra(series)
-    k = _tone_bin(mag, sample_rate_hz / len(series), tone_freq_hz)
-    if where is not None:
-        _tone_gate(mag, k, tone_freq_hz, where)
-    return float(2.0 * mag[k] / _hann_sum(len(series)))
+def _tone_amplitude(series: np.ndarray, sample_rate_hz: float, tone_freq_hz: float) -> float:
+    """Hann-window-corrected tone amplitude of ``series``, which is only read."""
+    n = len(series)
+    nominal, lo, hi = _tone_span(n, sample_rate_hz, tone_freq_hz)
+    mag = _hann_bins(np.fft.rfft(series), n, lo, hi)
+    # 2 |peak| over the window sum, which is exactly n / 2 for the periodic Hann.
+    return float(4.0 * mag[_tone_bin(mag, nominal - lo)] / n)
 
 
 def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
     """Top/bottom response ratio at the calibration tone.
 
-    Both channels are Hann-windowed and the ratio of spectral magnitudes is
-    taken at the tone bin (local peak within +-2 bins of nominal), so any
-    common leakage factor cancels exactly.
+    The ratio of the channels' Hann-windowed spectral magnitudes is taken
+    at the top channel's tone bin (local peak within +-2 bins of nominal),
+    so any common leakage factor cancels exactly. Only the bins around the
+    tone are windowed, from one channel's spectrum at a time.
 
     Raises
     ------
     MissingToneError
         Tone below 10x the local spectral floor in either channel.
     """
-    mag_top, mag_bottom = _hann_spectra(record.top_t.copy(), record.bottom_t.copy())
-    k = _tone_bin(mag_top, record.sample_rate_hz / len(record), tone_freq_hz)
-    for name, mag in (("top", mag_top), ("bottom", mag_bottom)):
-        _tone_gate(mag, k, tone_freq_hz, f" in {name} channel")
+    n = len(record)
+    nominal, lo, hi = _tone_span(n, record.sample_rate_hz, tone_freq_hz)
+    mag_top = _hann_bins(np.fft.rfft(record.top_t), n, lo, hi)
+    k = _tone_bin(mag_top, nominal - lo)
+    _tone_gate(mag_top, k, tone_freq_hz, " in top channel")
+    mag_bottom = _hann_bins(np.fft.rfft(record.bottom_t), n, lo, hi)
+    _tone_gate(mag_bottom, k, tone_freq_hz, " in bottom channel")
     return float(mag_top[k] / mag_bottom[k])
+
+
+def _correction(
+    cal: GradCalibration, n: int, sample_rate_hz: float, start: int, stop: int, phase_correct=True
+) -> np.ndarray:
+    """``subtract``'s factor on bins ``start..stop-1`` of the bottom channel's rfft."""
+    correction = np.full(stop - start, cal.amplitude_ratio, dtype=complex)
+    if phase_correct:
+        anchor = (
+            magnitude_ratio(cal.tone_freq_hz, cal.f1_hz, cal.f2_hz)
+            if cal.tone_freq_hz > 0
+            else 1.0
+        )
+        freqs = np.arange(start, stop) * (1.0 / (n * (1.0 / sample_rate_hz)))  # as np.fft.rfftfreq
+        correction *= magnitude_ratio(freqs, cal.f1_hz, cal.f2_hz) / anchor
+        rotation = 1j * phase_difference(freqs, cal.f1_hz, cal.f2_hz)
+        correction *= np.exp(rotation, out=rotation)
+    if start == 0:
+        correction[0] = 1.0
+    if stop == n // 2 + 1 and n % 2 == 0:
+        correction[-1] = abs(correction[-1])
+    return correction
 
 
 def subtract(
@@ -202,27 +222,11 @@ def subtract(
     record channels.
     """
     n = len(record)
-    bin_width_hz = 1.0 / (n * (1.0 / record.sample_rate_hz))  # as np.fft.rfftfreq
-    anchor = (
-        magnitude_ratio(cal.tone_freq_hz, cal.f1_hz, cal.f2_hz)
-        if phase_correct and cal.tone_freq_hz > 0
-        else 1.0
-    )
     bottom = np.fft.rfft(record.bottom_t)
     n_bins = len(bottom)
     for start in range(0, n_bins, _BLOCK):
         stop = min(start + _BLOCK, n_bins)
-        correction = np.full(stop - start, cal.amplitude_ratio, dtype=complex)
-        if phase_correct:
-            freqs = np.arange(start, stop) * bin_width_hz
-            correction *= magnitude_ratio(freqs, cal.f1_hz, cal.f2_hz) / anchor
-            rotation = 1j * phase_difference(freqs, cal.f1_hz, cal.f2_hz)
-            correction *= np.exp(rotation, out=rotation)
-            del freqs, rotation
-        if start == 0:
-            correction[0] = 1.0
-        if stop == n_bins and n % 2 == 0:
-            correction[-1] = abs(correction[-1])
+        correction = _correction(cal, n, record.sample_rate_hz, start, stop, phase_correct)
         # correction * bottom, not bottom * correction: the two can differ in
         # the last bit.
         np.multiply(correction, bottom[start:stop], out=bottom[start:stop])
@@ -250,9 +254,11 @@ def reduction_ratio(
     the phase calibration. The array is only read, never changed. Its
     length is checked, its values are not.
 
-    The top channel is windowed in a copy that is released before the
-    subtraction runs; the difference is then windowed in place (a copy of
-    ``difference``).
+    Both amplitudes are Hann-windowed magnitudes at the tone, taken from
+    one spectrum at a time. Without ``difference``, the residual's spectrum
+    ``T - C*B`` is built only at the bins around the tone, from the two
+    channel spectra and ``subtract``'s correction ``C``; it equals that of
+    ``subtract(record, cal)`` to rounding.
 
     Raises
     ------
@@ -261,18 +267,30 @@ def reduction_ratio(
     InvalidParameterError
         ``difference`` is not a series of the record's length.
     """
-    if difference is not None and np.shape(difference) != (len(record),):
+    n = len(record)
+    if difference is not None and np.shape(difference) != (n,):
         raise InvalidParameterError(
-            f"difference has shape {np.shape(difference)}, expected ({len(record)},)"
+            f"difference has shape {np.shape(difference)}, expected ({n},)"
         )
-    top_amp = _tone_amplitude(
-        record.top_t.copy(), record.sample_rate_hz, tone_freq_hz, " in top channel"
-    )
+    nominal, lo, hi = _tone_span(n, record.sample_rate_hz, tone_freq_hz)
+    spectrum = np.fft.rfft(record.top_t)
+    mag = _hann_bins(spectrum, n, lo, hi)
+    k = _tone_bin(mag, nominal - lo)
+    _tone_gate(mag, k, tone_freq_hz, " in top channel")
+    top_peak = mag[k]
     if difference is None:
-        diff = subtract(record, cal)
+        # The bins _hann_bins reads; the bottom spectrum holds T - C*B there.
+        start, stop = max(0, lo - 1), min(n // 2 + 1, hi + 1)
+        top_bins = spectrum[start:stop].copy()
+        del spectrum
+        spectrum = np.fft.rfft(record.bottom_t)
+        correction = _correction(cal, n, record.sample_rate_hz, start, stop)
+        spectrum[start:stop] = top_bins - correction * spectrum[start:stop]
     else:
-        diff = np.array(difference, dtype=float)
-    residual_amp = _tone_amplitude(diff, record.sample_rate_hz, tone_freq_hz)
-    if residual_amp == 0.0:
+        del spectrum
+        spectrum = np.fft.rfft(difference)
+    mag = _hann_bins(spectrum, n, lo, hi)
+    residual_peak = mag[_tone_bin(mag, nominal - lo)]
+    if residual_peak == 0.0:
         return math.inf
-    return top_amp / residual_amp
+    return float(top_peak / residual_peak)

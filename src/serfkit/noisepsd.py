@@ -24,8 +24,8 @@ from .errors import (
 DEFAULT_SEGMENT_LEN = 4096
 DEFAULT_OVERLAP = 0.5
 MIN_SEGMENT_LEN = 64
-# Samples (or frequency bins) per block when a full-length series is worked
-# on piecewise; Hann windows up to this length are also built only once.
+# Frequency bins per block when subtract builds its correction piecewise;
+# Hann windows up to this length are built only once.
 _BLOCK = 65536
 
 # Tone handling, shared with the gradiometer: search and integration
@@ -64,14 +64,9 @@ class PsdEstimate:
         return replace(self, asd_t_sqrthz=self.asd_t_sqrthz * factor)
 
 
-def _hann(n: int, start: int, stop: int) -> np.ndarray:
-    """Samples ``start`` to ``stop - 1`` of the periodic Hann window of length ``n``."""
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(start, stop) / n)
-
-
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann window."""
-    return _hann(n, 0, n)
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
 @functools.lru_cache(maxsize=8)
@@ -82,35 +77,19 @@ def _short_window(n: int) -> np.ndarray:
     return window
 
 
-@functools.lru_cache(maxsize=8)
-def _hann_sum(n: int) -> float:
-    """``float(hann_window(n).sum())`` bit for bit (``n / 2`` is not, for some n).
+def _hann_bins(spectrum: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+    """``|rfft(x * hann_window(n))|`` at bins ``lo`` to ``hi - 1``, from ``spectrum = rfft(x)``.
 
-    The window is filled block by block into one buffer, so no full-length
-    temporaries are made.
+    The periodic Hann window is ``1/2 - e^{+i}/4 - e^{-i}/4`` in its phase,
+    so its DFT is the exact three-bin kernel ``X[k]/2 - (X[k-1] + X[k+1])/4``
+    (Harris 1978). Bins beyond DC and Nyquist are the conjugates of their
+    mirror bins. Only ``spectrum[lo - 1 : hi + 1]`` is read.
     """
-    window = np.empty(n)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        window[start:stop] = _hann(n, start, stop)
-    return float(window.sum())
-
-
-def _hann_spectra(*series: np.ndarray) -> list[np.ndarray]:
-    """Hann-windowed magnitude spectra ``|rfft(x * hann_window(n))|``, bit for bit.
-
-    Each series (all of length ``n``) is windowed in place, one window block
-    of at most ``_BLOCK`` samples serving all of them, so no full-length
-    window is built. Each spectrum is written over the front of its own
-    series and returned as a view of it: a ``del`` here could not free a
-    series that the caller's frame still holds.
-    """
-    n = len(series[0])
-    for start in range(0, n, _BLOCK):
-        window = _short_window(n) if n <= _BLOCK else _hann(n, start, min(start + _BLOCK, n))
-        for x in series:
-            x[start : start + len(window)] *= window
-    return [np.abs(np.fft.rfft(x), out=x[: n // 2 + 1]) for x in series]
+    k = np.arange(lo - 1, hi + 1)
+    mirrored = (k < 0) | (k > n // 2)
+    x = spectrum[np.where(k < 0, -k, np.where(mirrored, n - k, k))]
+    np.conjugate(x, out=x, where=mirrored)
+    return np.abs(0.5 * x[1:-1] - 0.25 * (x[:-2] + x[2:]))
 
 
 def welch_asd(
@@ -128,6 +107,8 @@ def welch_asd(
     ------
     InsufficientDataError
         Series shorter than one segment.
+    InvalidParameterError
+        A nonzero series whose power spectrum underflows to zero in every bin.
     """
     series = np.asarray(series, dtype=float)
     if not sample_rate_hz > 0:
@@ -159,6 +140,10 @@ def welch_asd(
     psd[0] *= 0.5
     if segment_len % 2 == 0:
         psd[-1] *= 0.5
+    if not psd.any() and series.any():
+        raise InvalidParameterError(
+            "power spectrum underflows to zero: the series is too small to square in floating point"
+        )
 
     freqs = np.fft.rfftfreq(segment_len, 1.0 / sample_rate_hz)
     return PsdEstimate(
@@ -170,16 +155,33 @@ def welch_asd(
     )
 
 
-def _tone_bin(spectrum: np.ndarray, bin_width_hz: float, tone_freq_hz: float) -> int:
-    """Peak bin within +-2 bins of nominal; nominal lies strictly inside the spectrum."""
+def _nominal_bin(n_bins: int, bin_width_hz: float, tone_freq_hz: float) -> int:
+    """Bin nearest the tone, which must lie strictly inside a spectrum of ``n_bins`` bins."""
     if not math.isfinite(tone_freq_hz):
         raise InvalidParameterError(f"tone frequency must be finite, got {tone_freq_hz:g}")
     nominal = int(round(tone_freq_hz / bin_width_hz))
-    if not (0 < nominal < len(spectrum) - 1):
+    if not (0 < nominal < n_bins - 1):
         raise MissingToneError(f"tone frequency {tone_freq_hz:g} Hz outside (0, Nyquist)")
+    return nominal
+
+
+def _tone_bin(spectrum: np.ndarray, nominal: int) -> int:
+    """Peak bin within +-2 bins of ``nominal``, never the DC bin."""
     lo = max(1, nominal - TONE_SEARCH_BINS)
     hi = min(len(spectrum), nominal + TONE_SEARCH_BINS + 1)
     return lo + int(np.argmax(spectrum[lo:hi]))
+
+
+def _tone_span(n: int, sample_rate_hz: float, tone_freq_hz: float) -> tuple[int, int, int]:
+    """Nominal tone bin of an ``n``-sample record, and the bins ``lo..hi-1`` a tone estimate reads.
+
+    These are nominal +-(2 + 20), clipped to the spectrum: the peak search
+    and the gate's neighborhood around any peak it can find.
+    """
+    n_bins = n // 2 + 1
+    nominal = _nominal_bin(n_bins, sample_rate_hz / n, tone_freq_hz)
+    reach = TONE_SEARCH_BINS + TONE_NEIGHBORHOOD_BINS
+    return nominal, max(0, nominal - reach), min(n_bins, nominal + reach + 1)
 
 
 def _tone_gate(spectrum: np.ndarray, k: int, tone_freq_hz: float, where: str = "") -> float:
@@ -214,7 +216,7 @@ def tone_amplitude(psd: PsdEstimate, tone_freq_hz: float) -> float:
         Peak below 10x the local median ASD.
     """
     asd = psd.asd_t_sqrthz
-    k = _tone_bin(asd, psd.bin_width_hz, tone_freq_hz)
+    k = _tone_bin(asd, _nominal_bin(len(asd), psd.bin_width_hz, tone_freq_hz))
     floor = _tone_gate(asd, k, tone_freq_hz)
     lo = max(0, k - TONE_INTEGRATE_BINS)
     hi = min(len(asd), k + TONE_INTEGRATE_BINS + 1)

@@ -615,13 +615,13 @@ def test_config_hash_does_not_depend_on_the_config_path(tmp_path):
     assert manifest["params"] == {"seed": None}
 
 
-def _tone_record_csv(tmp_path):
+def _tone_record_csv(tmp_path, n=8192):
     rng = np.random.default_rng(5)
-    tone = 16e-12 * np.sin(2 * np.pi * 10.0 * np.arange(8192) / FS)
+    tone = 16e-12 * np.sin(2 * np.pi * 10.0 * np.arange(n) / FS)
     path = tmp_path / "rec.csv"
     dataio.write_record_csv(
-        path, TwoChannelRecord(FS, tone + rng.normal(0, 1e-15, 8192),
-                               0.97 * tone + rng.normal(0, 1e-15, 8192))
+        path, TwoChannelRecord(FS, tone + rng.normal(0, 1e-15, n),
+                               0.97 * tone + rng.normal(0, 1e-15, n))
     )
     return path
 
@@ -833,3 +833,42 @@ def test_demo_manifests_record_the_seed(tmp_path, capsys):
     manifests = [json.loads((d / "summary.json.manifest.json").read_text()) for d in dirs]
     assert manifests[0]["params"] == {"artifact": "summary.json", "seed": 7}
     assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+
+
+@pytest.mark.parametrize("option", [[], ["--calibrate-tone", "10:16e-12"]],
+                         ids=["plain", "calibrate_tone"])
+def test_psd_of_an_underflowing_series_exits_2(capsys, tmp_path, option):
+    # The squares of 1e-170 T underflow: every PSD bin would read 0.
+    rng = np.random.default_rng(6)
+    tone = 1e-170 * np.sin(2 * np.pi * 10.0 * np.arange(8192) / FS)
+    series = tmp_path / "tiny.csv"
+    dataio.write_series_csv(series, FS, tone + rng.normal(0, 1e-173, 8192))
+    out = tmp_path / "psd.csv"
+    code = main(["psd", "--in", str(series), *option, "--band", "20:30", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: power spectrum underflows to zero:"
+        " the series is too small to square in floating point\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, warning", [
+    (8191, "warning: record length 8191 has the prime factor 8191, which makes its FFTs slow;"
+           " the nearest 5-smooth length at or below it is 8100\n"),
+    (60000, ""),
+], ids=["prime", "smooth"])
+def test_calibrate_and_subtract_warn_on_a_slow_fft_length(capsys, tmp_path, n, warning):
+    rec = _tone_record_csv(tmp_path, n)
+    cal = tmp_path / "cal.json"
+    code = main(["calibrate", "--in", str(rec), "--tone-freq", "10", "--f1", "49.9",
+                 "--f2", "68.8", "--out", str(cal)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert captured.err == warning
+    assert json.loads(captured.out) == json.loads(cal.read_text())
+    diff = tmp_path / "diff.csv"
+    assert main(["subtract", "--in", str(rec), "--cal", str(cal), "--out", str(diff)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    assert json.loads(captured.out)["out"] == str(diff)

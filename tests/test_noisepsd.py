@@ -15,8 +15,7 @@ from serfkit.noisepsd import (
     TONE_MIN_SNR,
     TONE_NEIGHBORHOOD_BINS,
     PsdEstimate,
-    _hann_spectra,
-    _hann_sum,
+    _hann_bins,
     _short_window,
     band_floor,
     calibrate_tesla,
@@ -202,32 +201,18 @@ def test_welch_asd_matches_scipy(n, segment_len, overlap):
     np.testing.assert_allclose(psd.asd_t_sqrthz, np.sqrt(pxx), rtol=1e-12)
 
 
-# 65 536-sample blocks: one sample, one block short of full, exactly full, one
-# sample over, and three full blocks plus a remainder.
-@pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 3 * 65536 + 7])
-def test_hann_inplace_matches_full_window(n):
-    # _hann_spectra windows its series in place, for one series and for two
-    # sharing each window block, then writes |rfft| over each series' front.
+# Ranges that start at DC, end at Nyquist, or both, for an odd, an even and a
+# 3 x large-prime length.
+@pytest.mark.parametrize("n", [8191, 8192, 131073])
+def test_hann_bins_match_windowed_rfft(n):
     rng = np.random.default_rng(n)
-    for n_series in (1, 2):
-        series = [rng.normal(0.0, 1.0, n) for _ in range(n_series)]
-        for x in series:
-            x[::1000] = -0.0
-        buffers = [x.copy() for x in series]
-        spectra = _hann_spectra(*buffers)
-        for x, buf, mag in zip(series, buffers, spectra):
-            windowed = x * hann_window(n)
-            expected = np.abs(np.fft.rfft(windowed))
-            # tobytes() also tells -0.0 from 0.0, which array_equal does not.
-            assert mag.tobytes() == expected.tobytes()
-            assert mag.base is buf
-            assert buf[len(mag):].tobytes() == windowed[len(mag):].tobytes()
-
-
-@pytest.mark.parametrize("n", [1, 4096, 65536, 131070, 3 * 65536 + 7])
-def test_hann_sum_matches_full_window(n):
-    # n = 131 070 is a length where n / 2 is not the float sum.
-    assert _hann_sum(n) == float(hann_window(n).sum())
+    x = rng.normal(0.0, 1.0, n) + 100.0 * np.sin(2 * np.pi * 0.01 * np.arange(n))
+    expected = np.abs(np.fft.rfft(x * hann_window(n)))
+    spectrum = np.fft.rfft(x)
+    n_bins = n // 2 + 1
+    for lo, hi in ((0, 45), (n_bins - 45, n_bins), (0, n_bins)):
+        got = _hann_bins(spectrum, n, lo, hi)
+        assert np.max(np.abs(got - expected[lo:hi])) <= 1e-12 * expected.max()
 
 
 def test_short_windows_are_shared_and_read_only():
