@@ -21,10 +21,12 @@ import numpy as np
 
 from .errors import DegenerateDataError, InvalidParameterError
 from .fitting import fit_damped_least_squares
-from .noisepsd import _BLOCK, _hann_bins, _tone_bin, _tone_gate, _tone_span
+from .noisepsd import _hann_bins, _tone_bin, _tone_gate, _tone_span
 from .records import TwoChannelRecord
 
 _DEGENERATE_PHASE_RAD = 1e-9
+# Frequency bins per block when subtract builds its correction piecewise.
+_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -145,15 +147,6 @@ def fit_phase_model(points) -> PhaseModelFit:
     res = fit_damped_least_squares(residual, jacobian, p0)
     f1, f2 = np.abs(res.params)
     return PhaseModelFit(f1_hz=float(f1), f2_hz=float(f2), covariance=res.covariance)
-
-
-def _tone_amplitude(series: np.ndarray, sample_rate_hz: float, tone_freq_hz: float) -> float:
-    """Hann-window-corrected tone amplitude of ``series``, which is only read."""
-    n = len(series)
-    nominal, lo, hi = _tone_span(n, sample_rate_hz, tone_freq_hz)
-    mag = _hann_bins(np.fft.rfft(series), n, lo, hi)
-    # 2 |peak| over the window sum, which is exactly n / 2 for the periodic Hann.
-    return float(4.0 * mag[_tone_bin(mag, nominal - lo)] / n)
 
 
 def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:

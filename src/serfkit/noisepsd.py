@@ -7,8 +7,8 @@ integral of the PSD over frequency equals the mean-square signal.
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,9 +24,6 @@ from .errors import (
 DEFAULT_SEGMENT_LEN = 4096
 DEFAULT_OVERLAP = 0.5
 MIN_SEGMENT_LEN = 64
-# Frequency bins per block when subtract builds its correction piecewise;
-# Hann windows up to this length are built only once.
-_BLOCK = 65536
 
 # Tone handling, shared with the gradiometer: search and integration
 # halfwidths around the peak bin, and the local-median SNR threshold used
@@ -69,14 +66,6 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-@functools.lru_cache(maxsize=8)
-def _short_window(n: int) -> np.ndarray:
-    """Hann window of at most ``_BLOCK`` samples, built once and shared read-only."""
-    window = hann_window(n)
-    window.flags.writeable = False
-    return window
-
-
 def _hann_bins(spectrum: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
     """``|rfft(x * hann_window(n))|`` at bins ``lo`` to ``hi - 1``, from ``spectrum = rfft(x)``.
 
@@ -103,12 +92,17 @@ def welch_asd(
     Hann-windowed overlapping segments, power-normalized so that
     sum(PSD) * bin_width equals the mean-square input for stationary noise.
 
+    Spectra are squared in units of ``2**e``, the power of two just above
+    the largest sample magnitude, which rounds nothing: the ASD is what the
+    unscaled arithmetic gives wherever that neither under- nor overflows.
+
     Raises
     ------
     InsufficientDataError
         Series shorter than one segment.
     InvalidParameterError
-        A nonzero series whose power spectrum underflows to zero in every bin.
+        A series holding a NaN or infinite sample, or an ASD beyond the
+        float range (a sample rate far below 1 Hz).
     """
     series = np.asarray(series, dtype=float)
     if not sample_rate_hz > 0:
@@ -121,12 +115,19 @@ def welch_asd(
         raise InsufficientDataError(
             f"series of {len(series)} samples shorter than one segment ({segment_len})"
         )
+    # max and min propagate NaN; neither makes a full-length temporary.
+    peak = max(series.max(), -series.min())
+    if not math.isfinite(peak):
+        raise InvalidParameterError("series contains non-finite samples")
+    # Subnormal series share the smallest normal exponent, so 2**-e stays finite.
+    e = max(math.frexp(peak)[1], sys.float_info.min_exp)
 
-    window = _short_window(segment_len) if segment_len <= _BLOCK else hann_window(segment_len)
+    window = hann_window(segment_len)
     step = segment_len - int(overlap_fraction * segment_len)
     step = max(step, 1)
     starts = range(0, len(series) - segment_len + 1, step)
     scale = 2.0 / (sample_rate_hz * float(window @ window))
+    window *= 2.0**-e
 
     psd = np.zeros(segment_len // 2 + 1)
     n_avg = 0
@@ -140,15 +141,15 @@ def welch_asd(
     psd[0] *= 0.5
     if segment_len % 2 == 0:
         psd[-1] *= 0.5
-    if not psd.any() and series.any():
-        raise InvalidParameterError(
-            "power spectrum underflows to zero: the series is too small to square in floating point"
-        )
+    asd = np.sqrt(psd)
+    # A finite series can still have a density beyond the float range, at a very low rate.
+    if math.frexp(asd.max())[1] + e > sys.float_info.max_exp:
+        raise InvalidParameterError(f"ASD exceeds the float range at {sample_rate_hz:g} Hz")
 
     freqs = np.fft.rfftfreq(segment_len, 1.0 / sample_rate_hz)
     return PsdEstimate(
         freqs_hz=freqs,
-        asd_t_sqrthz=np.sqrt(psd),
+        asd_t_sqrthz=np.ldexp(asd, e),
         segment_len=segment_len,
         overlap_fraction=overlap_fraction,
         n_averages=n_avg,
@@ -220,8 +221,11 @@ def tone_amplitude(psd: PsdEstimate, tone_freq_hz: float) -> float:
     floor = _tone_gate(asd, k, tone_freq_hz)
     lo = max(0, k - TONE_INTEGRATE_BINS)
     hi = min(len(asd), k + TONE_INTEGRATE_BINS + 1)
-    power = float(np.sum(np.clip(asd[lo:hi] ** 2 - floor**2, 0.0, None))) * psd.bin_width_hz
-    return math.sqrt(2.0 * power)
+    # Squared in units of the peak's power of two, which rounds nothing.
+    e = math.frexp(asd[k])[1]
+    band, floor = np.ldexp(asd[lo:hi], -e), math.ldexp(floor, -e)
+    power = float(np.sum(np.clip(band**2 - floor**2, 0.0, None))) * psd.bin_width_hz
+    return math.ldexp(math.sqrt(2.0 * power), e)
 
 
 def calibrate_tesla(psd: PsdEstimate, tone_freq_hz: float, tone_amp_t: float) -> float:

@@ -837,19 +837,34 @@ def test_demo_manifests_record_the_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize("option", [[], ["--calibrate-tone", "10:16e-12"]],
                          ids=["plain", "calibrate_tone"])
-def test_psd_of_an_underflowing_series_exits_2(capsys, tmp_path, option):
-    # The squares of 1e-170 T underflow: every PSD bin would read 0.
+@pytest.mark.parametrize("amp", [1e-170, 1e160], ids=["tiny", "huge"])
+def test_psd_of_a_tiny_or_huge_series_exits_0(capsys, tmp_path, amp, option):
+    # Unscaled, the squares of 1e-170 T underflow to 0 and those of 1e160 T overflow.
     rng = np.random.default_rng(6)
-    tone = 1e-170 * np.sin(2 * np.pi * 10.0 * np.arange(8192) / FS)
-    series = tmp_path / "tiny.csv"
-    dataio.write_series_csv(series, FS, tone + rng.normal(0, 1e-173, 8192))
+    noise = 1e-3 * amp
+    tone = amp * np.sin(2 * np.pi * 10.0 * np.arange(8192) / FS)
+    series = tmp_path / "series.csv"
+    dataio.write_series_csv(series, FS, tone + rng.normal(0, noise, 8192))
     out = tmp_path / "psd.csv"
     code = main(["psd", "--in", str(series), *option, "--band", "20:30", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert captured.err == ""
+    floor = json.loads(captured.out)["band_floor_t_sqrthz"]
+    expected = noise * math.sqrt(2.0 / FS) * (16e-12 / amp if option else 1.0)
+    assert floor == pytest.approx(expected, rel=0.2)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_psd_of_a_non_finite_series_exits_2(capsys, tmp_path, bad):
+    x = np.random.default_rng(4).normal(0, 1e-15, 8192)
+    x[100] = float(bad)
+    series = tmp_path / "series.csv"
+    dataio.write_series_csv(series, FS, x)
+    out = tmp_path / "psd.csv"
+    code = main(["psd", "--in", str(series), "--band", "20:30", "--out", str(out)])
     assert code == EXIT_VALIDATION
-    assert capsys.readouterr().err == (
-        "error: power spectrum underflows to zero:"
-        " the series is too small to square in floating point\n"
-    )
+    assert capsys.readouterr().err == "error: series contains non-finite samples\n"
     assert not out.exists()
 
 

@@ -15,7 +15,6 @@ from serfkit.errors import (
 from serfkit.gradiometer import (
     GradCalibration,
     PhasePoint,
-    _tone_amplitude,
     amplitude_ratio,
     fit_phase_model,
     magnitude_ratio,
@@ -159,8 +158,6 @@ class TestAmplitudeRatio:
         with pytest.raises(MissingToneError, match="Nyquist"):
             amplitude_ratio(TwoChannelRecord(FS, x, x.copy()), freq)
         with pytest.raises(MissingToneError, match="Nyquist"):
-            _tone_amplitude(x, FS, freq)
-        with pytest.raises(MissingToneError, match="Nyquist"):
             calibrate_tesla(welch_asd(x, FS), freq, 16e-12)
 
 
@@ -203,12 +200,11 @@ class TestSubtract:
                         tones=((10.0, 16e-12, 0.0),),
                         noise=NoiseModel(sensor_asd_t_sqrthz=1e-17))
         rec = simulate_record(cfg)
-        ratio = amplitude_ratio(rec, 10.0)
-        out = subtract(rec, self.cal(ratio=ratio), phase_correct=False)
-        residual = _tone_amplitude(out, FS, 10.0)
-        top_amp = _tone_amplitude(rec.top_t, FS, 10.0)
+        cal = self.cal(ratio=amplitude_ratio(rec, 10.0))
+        out = subtract(rec, cal, phase_correct=False)
+        residual_over_top = 1.0 / reduction_ratio(rec, cal, 10.0, difference=out)
         predicted = 2.0 * math.sin(abs(phase_difference(10.0, F1, F2)) / 2.0)
-        assert residual / top_amp == pytest.approx(predicted, rel=0.05)
+        assert residual_over_top == pytest.approx(predicted, rel=0.05)
 
     def test_phase_corrected_common_mode_rejection(self):
         # Purely common-mode input: broadband common noise plus the tone.
@@ -496,11 +492,6 @@ def test_reduction_ratio_extra_memory_with_difference(memory_record):
 def test_amplitude_ratio_extra_memory(memory_record):
     peak = _traced_peak(lambda: amplitude_ratio(memory_record, 10.0))
     assert peak <= 1.25 * memory_record.top_t.nbytes
-
-
-def test_tone_amplitude_in_series_extra_memory(memory_record):
-    peak = _traced_peak(lambda: _tone_amplitude(memory_record.top_t, FS, 10.0))
-    assert peak <= 2.25 * memory_record.top_t.nbytes
 
 
 def test_reduction_ratio_extra_memory_for_a_new_length(memory_record):

@@ -1,6 +1,7 @@
 """Welch ASD estimator, tesla calibration and band-floor tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from serfkit.noisepsd import (
     TONE_NEIGHBORHOOD_BINS,
     PsdEstimate,
     _hann_bins,
-    _short_window,
     band_floor,
     calibrate_tesla,
     hann_window,
@@ -215,8 +215,40 @@ def test_hann_bins_match_windowed_rfft(n):
         assert np.max(np.abs(got - expected[lo:hi])) <= 1e-12 * expected.max()
 
 
-def test_short_windows_are_shared_and_read_only():
-    window = _short_window(4096)
-    assert window is _short_window(4096)
-    assert not window.flags.writeable
-    assert window.tobytes() == hann_window(4096).tobytes()
+# A power of two rounds nothing, so every estimate scales exactly, far past
+# where the unscaled squares would under- or overflow.
+@pytest.mark.parametrize("k", [-900, -560, -36, 36, 530, 1000])
+@pytest.mark.parametrize("n", [8192, 60000])
+def test_power_of_two_scaling_is_exact(n, k):
+    x = white_noise(n=n, seed=n) + 100.0 * np.sin(2 * np.pi * 10.0 * np.arange(n) / FS)
+    psd = welch_asd(x, FS)
+    scaled = welch_asd(np.ldexp(x, k), FS)
+    assert scaled.asd_t_sqrthz.tobytes() == np.ldexp(psd.asd_t_sqrthz, k).tobytes()
+    assert band_floor(scaled, 20.0, 30.0) == math.ldexp(band_floor(psd, 20.0, 30.0), k)
+    assert tone_amplitude(scaled, 10.0) == math.ldexp(tone_amplitude(psd, 10.0), k)
+    scale = calibrate_tesla(psd, 10.0, 100.0)
+    assert calibrate_tesla(scaled, 10.0, 100.0) == math.ldexp(scale, -k)
+
+
+@pytest.mark.parametrize("amp", [1e-310, 3.75e307], ids=["subnormal", "huge"])
+def test_white_noise_level_at_the_ends_of_float_range(amp):
+    x = np.random.default_rng(8).uniform(-amp, amp, 60000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psd = welch_asd(x, FS)
+    level = np.mean(psd.asd_t_sqrthz[1:] / amp)  # divided first: the sum would overflow
+    assert level == pytest.approx(math.sqrt(2.0 / (3.0 * FS)), rel=0.05)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sample_rejected(bad):
+    x = white_noise(n=8192)
+    x[100] = bad
+    with pytest.raises(InvalidParameterError, match="non-finite samples"):
+        welch_asd(x, FS)
+
+
+def test_asd_beyond_float_range_rejected():
+    # 1e300 T of white noise sampled once per 1e30 s reads about 1e315 T/sqrt(Hz).
+    with pytest.raises(InvalidParameterError, match="ASD exceeds the float range at 1e-30 Hz"):
+        welch_asd(white_noise(sigma=1e300, n=8192), 1e-30)

@@ -9,12 +9,11 @@ import pytest
 from serfkit.errors import ConfigError, InvalidParameterError
 from serfkit.gradiometer import (
     GradCalibration,
-    _tone_amplitude,
     amplitude_ratio,
     phase_difference,
     subtract,
 )
-from serfkit.noisepsd import band_floor, welch_asd
+from serfkit.noisepsd import band_floor, tone_amplitude, welch_asd
 from serfkit.simulator import NoiseModel, SimConfig, channel_transfer, simulate_record
 
 FS = 1000.0
@@ -72,8 +71,8 @@ class TestTones:
         cfg = SimConfig(FS, 20.0, seed=0, f1_hz=F1, f2_hz=F2,
                         channel_gains=gains, tones=((10.0, 16e-12, 0.0),))
         rec = simulate_record(cfg)
-        top = _tone_amplitude(rec.top_t, FS, 10.0)
-        bottom = _tone_amplitude(rec.bottom_t, FS, 10.0)
+        top = tone_amplitude(welch_asd(rec.top_t, FS, len(rec)), 10.0)
+        bottom = tone_amplitude(welch_asd(rec.bottom_t, FS, len(rec)), 10.0)
         assert top == pytest.approx(16e-12 * abs(channel_transfer(10.0, F1)) * gains[0], rel=0.01)
         assert bottom == pytest.approx(16e-12 * abs(channel_transfer(10.0, F2)) * gains[1], rel=0.01)
 
