@@ -92,9 +92,9 @@ def welch_asd(
     Hann-windowed overlapping segments, power-normalized so that
     sum(PSD) * bin_width equals the mean-square input for stationary noise.
 
-    Spectra are squared in units of ``2**e``, the power of two just above
-    the largest sample magnitude, which rounds nothing: the ASD is what the
-    unscaled arithmetic gives wherever that neither under- nor overflows.
+    Spectra are squared in units of ``2**e`` (just above the largest sample
+    magnitude) and the rate taken in units of ``4**k``, which round nothing: the
+    ASD is what the unscaled arithmetic gives wherever that neither under- nor overflows.
 
     Raises
     ------
@@ -126,8 +126,10 @@ def welch_asd(
     step = segment_len - int(overlap_fraction * segment_len)
     step = max(step, 1)
     starts = range(0, len(series) - segment_len + 1, step)
-    scale = 2.0 / (sample_rate_hz * float(window @ window))
+    k = math.frexp(sample_rate_hz)[1] // 2
+    scale = 2.0 / (math.ldexp(sample_rate_hz, -2 * k) * float(window @ window))
     window *= 2.0**-e
+    e -= k
 
     psd = np.zeros(segment_len // 2 + 1)
     n_avg = 0

@@ -94,106 +94,103 @@ def channel_transfer(freq_hz, bandwidth_hz: float):
     if not bandwidth_hz > 0:
         raise InvalidParameterError("bandwidth_hz must be positive")
     f = np.asarray(freq_hz, dtype=float)
-    out = 1.0 / (1.0 + 1j * f / bandwidth_hz)
+    out = np.empty(f.shape, dtype=complex)
+    out.real = 1.0
+    np.divide(f, bandwidth_hz, out=out.imag)
+    np.divide(1.0, out, out=out)
     return out if out.ndim else complex(out)
 
 
-def _shaped_noise(rng, freqs: np.ndarray, n: int, fs: float, level: float,
+def _shaped_noise(rng, n: int, fs: float, level: float,
                   corner_hz: float = 0.0) -> np.ndarray | None:
-    """Real series with one-sided ASD ``level``, synthesized spectrally.
+    """Spectrum (``rfft`` layout) of a real series with one-sided ASD ``level``.
 
     A nonzero ``corner_hz`` steepens the ASD below the corner as
-    ``level * sqrt(corner / f)``. Bin variances are fixed by
-    E|X_k|^2 = PSD(f_k) * fs * n / 2 so Welch estimates read back the
-    configured density. Normal draws happen even for zero ASD to keep the
-    generator stream independent of the noise levels; a zero ASD then
-    returns None instead of a series of zeros.
+    ``level * sqrt(corner / f)``. Bins have E|X_k|^2 = PSD(f_k) * fs * n / 2,
+    so Welch estimates read back the configured density; DC is zero and a
+    Nyquist bin is real. The normals are drawn even for a zero ASD, so that
+    the generator stream does not depend on the noise levels; then it returns None.
     """
-    re = rng.standard_normal(len(freqs))
-    im = rng.standard_normal(len(freqs))
+    spec = np.empty(n // 2 + 1, dtype=complex)
+    spec.real = rng.standard_normal(len(spec))
+    spec.imag = rng.standard_normal(len(spec))
     if level == 0.0:
         return None
-    asd = np.full_like(freqs, level)
+    spec *= level * np.sqrt(fs * n / 4.0)
     if corner_hz > 0.0:
-        with np.errstate(divide="ignore"):
-            asd *= np.sqrt(np.maximum(corner_hz / np.maximum(freqs, 1e-300), 1.0))
-    nyquist = re[-1] * asd[-1] * np.sqrt(fs * n / 2.0)
-    spec = 1j * im
-    spec += re
-    del re, im
-    asd *= np.sqrt(fs * n / 4.0)
-    spec *= asd
-    del asd
+        spec[1:] *= np.sqrt(np.maximum(corner_hz / np.fft.rfftfreq(n, 1.0 / fs)[1:], 1.0))
     spec[0] = 0.0
     if n % 2 == 0:
-        spec[-1] = nyquist
-    return np.fft.irfft(spec, n)
+        spec[-1] = spec.real[-1] * np.sqrt(2.0)
+    return spec
 
 
-def _filtered(spec: np.ndarray, freqs: np.ndarray, bandwidth_hz: float, gain: float,
-              n: int) -> np.ndarray:
-    """``gain`` times the series of ``spec`` passed through the channel response."""
-    response = channel_transfer(freqs, bandwidth_hz)
-    response *= spec
-    out = np.fft.irfft(response, n)
-    out *= gain
-    return out
-
-
+# Overflow shows as non-finite samples, which the final check reports.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_record(cfg: SimConfig) -> TwoChannelRecord:
     """Generate a deterministic two-channel record from the configuration.
 
-    Channel composition:
+    Each channel is one spectrum, transformed once:
 
-        top    = g1 * filt(common, f1) + sensor_top    + gradient / 2
-        bottom = g2 * filt(common, f2) + sensor_bottom - gradient / 2
+        top    = irfft(g1 * H1 * C + G / 2 + S_top)
+        bottom = irfft(g2 * H2 * C - G / 2 + S_bottom)
 
-    where ``common`` is the tone sum plus the common-mode noise, filtered
-    circularly through the first-order response. Draw order (common,
-    gradient, sensor top, sensor bottom) is fixed for reproducibility. Each
-    full-length intermediate is released as soon as it has been used.
+    ``C`` is the common-mode noise spectrum plus the ``rfft`` of the tone
+    sum, ``H1`` and ``H2`` are the first-order responses at ``f1`` and
+    ``f2``, and ``G`` and ``S`` are the gradient and sensor noise spectra.
+    Terms are summed left to right; a zero ASD adds no term, and with no
+    common field the sum starts from zeros. Draw order (common, gradient,
+    sensor top, sensor bottom) is fixed for reproducibility.
     """
     n = cfg.n_samples
     fs = cfg.sample_rate_hz
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
     rng = np.random.default_rng(cfg.seed)
     noise = cfg.noise
 
-    common = _shaped_noise(
-        rng, freqs, n, fs, noise.common_asd_t_sqrthz, noise.one_over_f_corner_hz
-    )
-    if common is None:
-        common = np.zeros(n)
+    # The tones draw nothing, so their spectrum is built first, while little else is held.
+    tones = None
     if cfg.tones:
-        t = np.arange(n) / fs
+        tones = np.zeros(n)
         for tone_freq, amp, phase in cfg.tones:
-            wave = 2.0 * np.pi * tone_freq * t
+            wave = np.arange(n) / fs
+            wave *= 2.0 * np.pi * tone_freq
             wave += phase
             np.sin(wave, out=wave)
             wave *= amp
-            common += wave
+            tones += wave
             del wave
-        del t
-    spec = np.fft.rfft(common)
-    del common
-    g1, g2 = cfg.channel_gains
-    top = _filtered(spec, freqs, cfg.f1_hz, g1, n)
-    bottom = _filtered(spec, freqs, cfg.f2_hz, g2, n)
-    del spec
+        tones = np.fft.rfft(tones)
+    common = _shaped_noise(rng, n, fs, noise.common_asd_t_sqrthz, noise.one_over_f_corner_hz)
+    if common is None:
+        common = tones
+    elif tones is not None:
+        common += tones
+    del tones
 
-    half_gradient = _shaped_noise(rng, freqs, n, fs, noise.gradient_asd_t_sqrthz)
-    for channel, sensor_asd in zip((top, bottom), noise.sensor_pair):
-        sensor = _shaped_noise(rng, freqs, n, fs, sensor_asd)
-        # Zero noise is still added, as a scalar: it turns -0.0 into +0.0.
-        channel += 0.0 if sensor is None else sensor
-        del sensor
-    # A zero gradient is skipped: x - 0.0 is x, and x + 0.0 differs from x
-    # only at -0.0, which the sensor step leaves only where the channel and
-    # its sensor noise were both exactly -0.0.
+    if common is None:
+        channels = [np.zeros(n // 2 + 1, dtype=complex) for _ in range(2)]
+    else:
+        freqs = np.fft.rfftfreq(n, 1.0 / fs)
+        channels = [channel_transfer(freqs, f_c) for f_c in (cfg.f1_hz, cfg.f2_hz)]
+        del freqs
+        for spec, gain in zip(channels, cfg.channel_gains):
+            spec *= gain
+            spec *= common
+        del spec, common
+
+    # Added before the sensor draws, so it is never held beside a sensor spectrum.
+    half_gradient = _shaped_noise(rng, n, fs, 0.5 * noise.gradient_asd_t_sqrthz)
     if half_gradient is not None:
-        half_gradient *= 0.5
-        top += half_gradient
-        bottom -= half_gradient
+        channels[0] += half_gradient
+        channels[1] -= half_gradient
+        del half_gradient
+    for i, sensor_asd in enumerate(noise.sensor_pair):
+        sensor = _shaped_noise(rng, n, fs, sensor_asd)
+        if sensor is not None:
+            channels[i] += sensor
+            del sensor
+        channels[i] = np.fft.irfft(channels[i], n)
+    top, bottom = channels
 
     if not (np.all(np.isfinite(top)) and np.all(np.isfinite(bottom))):
         raise ConfigError("simulation produced non-finite samples")

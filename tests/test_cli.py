@@ -329,6 +329,31 @@ def test_header_only_record_exits_2_with_one_error_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"tones": [[10.0, 1e308, 0.0]], "noise": {"common_asd_t_sqrthz": 1e300}},
+        {"noise": {"sensor_asd_t_sqrthz": 1e306}},
+        {"channel_gains": [1e308, 1.0], "tones": [[10.0, 2.0, 0.0]]},
+    ],
+    ids=["huge_tone_and_common", "huge_sensor", "huge_gain"],
+)
+def test_simulate_overflow_exits_2_with_one_error_line(tmp_path, extra):
+    # A separate interpreter, so that any warning would reach stderr as users see it.
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"sample_rate_hz": FS, "duration_s": 10.0, **extra}))
+    out = tmp_path / "rec.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(serfkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "serfkit", "simulate", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr == "error: simulation produced non-finite samples\n"
+    assert not out.exists()
+    assert not (tmp_path / "rec.csv.manifest.json").exists()
+
+
 def test_whitespace_line_in_record_is_skipped(tmp_path):
     rows = [f"{i / FS},{1e-12 * math.sin(i)},{1e-12 * math.cos(i)}" for i in range(8192)]
     (tmp_path / "clean.csv").write_text("t_s,top_t,bottom_t\n" + "\n".join(rows) + "\n")

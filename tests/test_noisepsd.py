@@ -215,8 +215,9 @@ def test_hann_bins_match_windowed_rfft(n):
         assert np.max(np.abs(got - expected[lo:hi])) <= 1e-12 * expected.max()
 
 
-# A power of two rounds nothing, so every estimate scales exactly, far past
-# where the unscaled squares would under- or overflow.
+# A power of two rounds nothing, so every estimate scales exactly, in the
+# series or in the rate, far past where the unscaled squares would under- or
+# overflow.
 @pytest.mark.parametrize("k", [-900, -560, -36, 36, 530, 1000])
 @pytest.mark.parametrize("n", [8192, 60000])
 def test_power_of_two_scaling_is_exact(n, k):
@@ -228,6 +229,9 @@ def test_power_of_two_scaling_is_exact(n, k):
     assert tone_amplitude(scaled, 10.0) == math.ldexp(tone_amplitude(psd, 10.0), k)
     scale = calibrate_tesla(psd, 10.0, 100.0)
     assert calibrate_tesla(scaled, 10.0, 100.0) == math.ldexp(scale, -k)
+    for j in (-500, -8, 8, 506):
+        at_rate = welch_asd(x, FS * 4.0**j)
+        assert at_rate.asd_t_sqrthz.tobytes() == np.ldexp(psd.asd_t_sqrthz, -j).tobytes()
 
 
 @pytest.mark.parametrize("amp", [1e-310, 3.75e307], ids=["subnormal", "huge"])

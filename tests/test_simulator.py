@@ -1,5 +1,6 @@
 """Synthetic two-channel generator tests."""
 
+import collections
 import math
 import tracemalloc
 
@@ -179,7 +180,50 @@ def _reference_record(cfg):
     """simulate_record written with plain full-length expressions, for bit-exact checks.
 
     Same draws, operands and summation order as the library, without any of
-    its in-place arithmetic or early releases.
+    its in-place arithmetic or early releases. A zero ASD or an absent tone
+    gives a spectrum of zeros here, where the library adds no term; adding
+    zeros changes at most a sign of zero, which ``==`` ignores.
+    """
+    n = cfg.n_samples
+    fs = cfg.sample_rate_hz
+    t = np.arange(n) / fs
+    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    rng = np.random.default_rng(cfg.seed)
+
+    def noise_spectrum(level, corner=0.0):
+        re = rng.standard_normal(len(freqs))
+        im = rng.standard_normal(len(freqs))
+        spec = (re + 1j * im) * (level * np.sqrt(fs * n / 4.0))
+        if corner > 0.0:
+            spec = spec * np.concatenate(([1.0], np.sqrt(np.maximum(corner / freqs[1:], 1.0))))
+        spec[0] = 0.0
+        if n % 2 == 0:
+            spec[-1] = spec[-1].real * np.sqrt(2.0)
+        return spec
+
+    noise = cfg.noise
+    tone_sum = np.zeros(n)
+    for tone_freq, amp, phase in cfg.tones:
+        tone_sum = tone_sum + amp * np.sin(2.0 * np.pi * tone_freq * t + phase)
+    common = noise_spectrum(noise.common_asd_t_sqrthz, noise.one_over_f_corner_hz) \
+        + np.fft.rfft(tone_sum)
+    half_gradient = noise_spectrum(0.5 * noise.gradient_asd_t_sqrthz)
+    sensor_top_asd, sensor_bottom_asd = noise.sensor_pair
+    sensor_top = noise_spectrum(sensor_top_asd)
+    sensor_bottom = noise_spectrum(sensor_bottom_asd)
+
+    g1, g2 = cfg.channel_gains
+    top = g1 * channel_transfer(freqs, cfg.f1_hz) * common + half_gradient + sensor_top
+    bottom = g2 * channel_transfer(freqs, cfg.f2_hz) * common - half_gradient + sensor_bottom
+    return np.fft.irfft(top, n), np.fft.irfft(bottom, n)
+
+
+def _time_domain_record(cfg):
+    """The same record composed in the time domain, a second oracle.
+
+    Each noise source is transformed on its own, the tones are added in time,
+    and the common field is filtered through its own spectrum. The draws are
+    the library's, so by linearity the channels agree with it to rounding.
     """
     n = cfg.n_samples
     fs = cfg.sample_rate_hz
@@ -248,6 +292,34 @@ def test_simulate_record_matches_reference_bit_for_bit(name):
     assert np.array_equal(rec.bottom_t, bottom)
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+def test_simulate_record_matches_time_domain_composition(name):
+    cfg = REFERENCE_CONFIGS[name]
+    rec = simulate_record(cfg)
+    for got, want in zip((rec.top_t, rec.bottom_t), _time_domain_record(cfg)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "tones, expected",
+    [(((10.0, 16e-12, 0.0),), {"rfft": 1, "irfft": 2}), ((), {"irfft": 2})],
+    ids=["tone", "no_tone"],
+)
+def test_one_inverse_transform_per_channel(monkeypatch, tones, expected):
+    calls = collections.Counter()
+    for name in np.fft.__all__:
+        if name.endswith(("fft", "fftn", "fft2")):
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+    simulate_record(SimConfig(FS, 5.0, seed=1, tones=tones,
+                              noise=NoiseModel(common_asd_t_sqrthz=8e-15,
+                                               gradient_asd_t_sqrthz=2e-15,
+                                               sensor_asd_t_sqrthz=1e-15)))
+    assert dict(calls) == expected
+
+
 def test_zero_noise_turns_negative_zeros_positive():
     # Negative gains on a silent record give -0.0 samples; adding the zero
     # sensor and gradient noise has always made them +0.0.
@@ -268,4 +340,4 @@ def test_zero_gradient_extra_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * rec.top_t.nbytes
+    assert peak <= 4.25 * rec.top_t.nbytes
