@@ -195,22 +195,16 @@ _FFT_PRIME_LIMIT = 1000
 
 def _warn_slow_fft_length(n: int) -> None:
     """Warn on stderr when ``n`` has a prime factor above ``_FFT_PRIME_LIMIT``."""
-    largest, rest, p = 1, n, 2
-    while p * p <= rest:
-        while rest % p == 0:
-            largest, rest = p, rest // p
-        p += 1
-    largest = max(largest, rest)
-    if largest <= _FFT_PRIME_LIMIT:
+    rest, p = n, 2
+    while p * p <= rest:  # leaves rest at the largest prime factor of n
+        rest, p = (rest // p, p) if rest % p == 0 else (rest, p + 1)
+    if rest <= _FFT_PRIME_LIMIT:
         return
-    smooth = 1
-    for b in range(n.bit_length()):
-        for c in range(n.bit_length()):
-            odd = 3**b * 5**c
-            if odd <= n:  # times the largest power of two that keeps it <= n
-                smooth = max(smooth, odd << ((n // odd).bit_length() - 1))
+    bits = range(n.bit_length())
+    smooth = max(m << (n // m).bit_length() - 1  # m times the largest power of two keeping it <= n
+                 for m in (3**b * 5**c for b in bits for c in bits) if m <= n)
     print(
-        f"warning: record length {n} has the prime factor {largest}, which makes its FFTs slow;"
+        f"warning: record length {n} has the prime factor {rest}, which makes its FFTs slow;"
         f" the nearest 5-smooth length at or below it is {smooth}",
         file=sys.stderr,
     )
@@ -245,9 +239,12 @@ def _cmd_subtract(args) -> int:
     cal = dataio.read_calibration_json(args.cal)
     _warn_slow_fft_length(len(record))
     diff = subtract(record, cal, phase_correct=args.phase)
+    # Squared in units of the peak's power of two, so no finite difference over- or underflows.
+    e = np.frexp(max(diff.max(), -diff.min()))[1]
+    rms = float(np.ldexp(np.sqrt(np.mean(np.ldexp(diff, -e) ** 2)), e))
     return _finish(
         args,
-        {"out": os.fspath(args.out), "rms_t": float(np.sqrt(np.mean(diff**2)))},
+        {"out": os.fspath(args.out), "rms_t": rms},
         write=lambda path: dataio.write_series_csv(path, record.sample_rate_hz, diff),
     )
 

@@ -77,22 +77,29 @@ def _parse_json(data: bytes, source):
         raise ConfigError(f"{source}: {err}") from None
 
 
+def _number(value, kind=float):
+    """JSON number ``value`` as ``kind``: no bool or string, and no float for an int ``kind``."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise TypeError(f"expected {kind.__name__}, got {json.dumps(value)}")
+    return kind(value)
+
+
 def _floats(value, n: int) -> tuple[float, ...]:
     """``value`` as a tuple of exactly ``n`` floats."""
-    out = tuple(float(v) for v in value)
+    out = tuple(_number(v) for v in value)
     if len(out) != n:
         raise ValueError(f"expected {n} values, got {len(out)}")
     return out
 
 
-# JSON values are coerced to float unless their field is listed here.
+# JSON values are read by ``_number`` unless their field is listed here.
 _CONVERTERS = {
-    "seed": int,
+    "seed": lambda value: _number(value, int),
     "channel_gains": lambda value: _floats(value, 2),
     "tones": lambda value: tuple(_floats(tone, 3) for tone in value),
     "noise": lambda value: _from_json(NoiseModel, value, "noise"),
     "sensor_asd_t_sqrthz": lambda value: (
-        _floats(value, 2) if isinstance(value, list) else float(value)
+        _floats(value, 2) if isinstance(value, list) else _number(value)
     ),
 }
 
@@ -106,7 +113,7 @@ def _from_json(cls, raw, what: str):
     ------
     ConfigError
         Not a JSON object, an unknown key, a missing required field, a
-        value that does not coerce to its field type, or values ``cls`` rejects.
+        value that is not a JSON number (``seed``: not an integer), or values ``cls`` rejects.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{what}: not a JSON object")
@@ -126,7 +133,7 @@ def _from_json(cls, raw, what: str):
     values = {}
     for key, value in raw.items():
         try:
-            values[key] = _CONVERTERS.get(key, float)(value)
+            values[key] = _CONVERTERS.get(key, _number)(value)
         except ConfigError as err:  # from a nested object, e.g. "noise"
             raise ConfigError(f"{what}: {err}") from None
         except (TypeError, ValueError, OverflowError) as err:

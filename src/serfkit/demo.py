@@ -122,7 +122,7 @@ def _gradiometer_stage(seed: int, f1_hz: float, f2_hz: float) -> dict:
     psd_diff = welch_asd(diff, SAMPLE_RATE_HZ)
     return {
         "amplitude_ratio": ratio,
-        "reduction_ratio": reduction_ratio(record, cal, TONE_FREQ_HZ, difference=diff),
+        "reduction_ratio": reduction_ratio(record, cal, TONE_FREQ_HZ),
         "single_floor_t_sqrthz": band_floor(psd_top, 2.0, 10.0),
         "difference_floor_t_sqrthz": band_floor(psd_diff, 20.0, 30.0),
         "_cal": cal,

@@ -43,6 +43,8 @@ class GradCalibration:
         for name in ("amplitude_ratio", "f1_hz", "f2_hz", "tone_freq_hz", "tone_amp_t"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
+            if name.startswith("tone_") and getattr(self, name) < 0:
+                raise InvalidParameterError(f"{name} must not be negative (0 means no tone)")
         if not self.amplitude_ratio > 0:
             raise InvalidParameterError("amplitude_ratio must be positive")
         if not (self.f1_hz > 0 and self.f2_hz > 0):
@@ -229,59 +231,36 @@ def subtract(
     return np.fft.irfft(top, n)
 
 
-def reduction_ratio(
-    record: TwoChannelRecord,
-    cal: GradCalibration,
-    tone_freq_hz: float,
-    *,
-    difference: np.ndarray | None = None,
-) -> float:
+def reduction_ratio(record: TwoChannelRecord, cal: GradCalibration, tone_freq_hz: float) -> float:
     """Tone amplitude in the top channel over its residual after subtraction.
 
     Infinite when the residual vanishes (perfectly matched channels).
 
-    The residual is measured in ``difference``, which defaults to
-    ``subtract(record, cal)``. A caller that already holds that difference
-    passes it, so the subtraction is not run again; passing
-    ``subtract(record, cal, phase_correct=False)`` gives the ratio without
-    the phase calibration. The array is only read, never changed. Its
-    length is checked, its values are not.
-
     Both amplitudes are Hann-windowed magnitudes at the tone, taken from
-    one spectrum at a time. Without ``difference``, the residual's spectrum
-    ``T - C*B`` is built only at the bins around the tone, from the two
-    channel spectra and ``subtract``'s correction ``C``; it equals that of
+    one spectrum at a time. The residual's spectrum ``T - C*B`` is built
+    only at the bins around the tone, from the two channel spectra and
+    ``subtract``'s correction ``C``; it equals that of
     ``subtract(record, cal)`` to rounding.
 
     Raises
     ------
     MissingToneError
         Tone not present in the input record.
-    InvalidParameterError
-        ``difference`` is not a series of the record's length.
     """
     n = len(record)
-    if difference is not None and np.shape(difference) != (n,):
-        raise InvalidParameterError(
-            f"difference has shape {np.shape(difference)}, expected ({n},)"
-        )
     nominal, lo, hi = _tone_span(n, record.sample_rate_hz, tone_freq_hz)
     spectrum = np.fft.rfft(record.top_t)
     mag = _hann_bins(spectrum, n, lo, hi)
     k = _tone_bin(mag, nominal - lo)
     _tone_gate(mag, k, tone_freq_hz, " in top channel")
     top_peak = mag[k]
-    if difference is None:
-        # The bins _hann_bins reads; the bottom spectrum holds T - C*B there.
-        start, stop = max(0, lo - 1), min(n // 2 + 1, hi + 1)
-        top_bins = spectrum[start:stop].copy()
-        del spectrum
-        spectrum = np.fft.rfft(record.bottom_t)
-        correction = _correction(cal, n, record.sample_rate_hz, start, stop)
-        spectrum[start:stop] = top_bins - correction * spectrum[start:stop]
-    else:
-        del spectrum
-        spectrum = np.fft.rfft(difference)
+    # The bins _hann_bins reads; the bottom spectrum holds T - C*B there.
+    start, stop = max(0, lo - 1), min(n // 2 + 1, hi + 1)
+    top_bins = spectrum[start:stop].copy()
+    del spectrum
+    spectrum = np.fft.rfft(record.bottom_t)
+    correction = _correction(cal, n, record.sample_rate_hz, start, stop)
+    spectrum[start:stop] = top_bins - correction * spectrum[start:stop]
     mag = _hann_bins(spectrum, n, lo, hi)
     residual_peak = mag[_tone_bin(mag, nominal - lo)]
     if residual_peak == 0.0:

@@ -12,7 +12,14 @@ import pytest
 
 import serfkit
 from serfkit import dataio
-from serfkit.cli import EXIT_FIT_FAILURE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from serfkit.cli import (
+    EXIT_FIT_FAILURE,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VALIDATION,
+    _warn_slow_fft_length,
+    main,
+)
 from serfkit.gradiometer import phase_difference
 from serfkit.lineshape import eval_lorentzian
 from serfkit.records import TwoChannelRecord
@@ -387,6 +394,12 @@ GAS_SOLVE = ["gas-solve", "--shift-ghz", "1.916", "--width-ghz", "31.878"]
         (["simulate"], {"sample_rate_hz": FS, "duration_s": 10.0, "noise": [1, 2]}),
         (["simulate"], [FS, 10.0]),
         (GAS_SOLVE, {"shift_he_ghz_per_amg": "x"}),
+        # Each of these ran, misread, before only JSON numbers were taken.
+        (["simulate"], {"sample_rate_hz": FS, "duration_s": 10.0, "seed": 1.7}),
+        (["simulate"], {"sample_rate_hz": FS, "duration_s": 10.0, "seed": True}),
+        (["simulate"], {"sample_rate_hz": True, "duration_s": 5000.0}),
+        (["simulate"], {"sample_rate_hz": FS, "duration_s": "10"}),
+        (["simulate"], {"sample_rate_hz": FS, "duration_s": 10.0, "tones": [[True, 1e-12, 0]]}),
     ],
 )
 def test_bad_config_value_exits_2(capsys, tmp_path, command, config):
@@ -686,6 +699,31 @@ def test_subtract_non_finite_calibration_exits_2(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["tone_freq_hz", "tone_amp_t"])
+def test_subtract_negative_tone_in_calibration_exits_2(capsys, tmp_path, field):
+    rec = _tone_record_csv(tmp_path)
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps({**GOOD_CAL, field: -GOOD_CAL[field]}))
+    out = tmp_path / "diff.csv"
+    code = main(["subtract", "--in", str(rec), "--cal", str(cal), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: calibration {cal}: {field} must not be negative (0 means no tone)\n"
+    )
+    assert not out.exists()
+
+
+def test_calibrate_negative_tone_amplitude_exits_2(capsys, tmp_path):
+    rec = _tone_record_csv(tmp_path)
+    out = tmp_path / "cal.json"
+    code = main(["calibrate", "--in", str(rec), "--tone-freq", "10", "--tone-amp", "-3",
+                 "--f1", "49.9", "--f2", "68.8", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: tone_amp_t must not be negative (0 means no tone)\n"
+    assert not out.exists()
+    assert not (tmp_path / "cal.json.manifest.json").exists()
+
+
 def test_simulate_negative_seed_exits_2(capsys, tmp_path):
     cfg = write_sim_config(tmp_path / "sim.json", duration=10.0)
     out = tmp_path / "rec.csv"
@@ -912,3 +950,55 @@ def test_calibrate_and_subtract_warn_on_a_slow_fft_length(capsys, tmp_path, n, w
     captured = capsys.readouterr()
     assert captured.err == warning
     assert json.loads(captured.out)["out"] == str(diff)
+
+
+def _slow_fft_warning(n):
+    """The expected stderr of the FFT-length check, by brute force."""
+    divisors = {d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)}
+    largest = max(d for d in divisors if d > 1 and all(d % q for q in range(2, math.isqrt(d) + 1)))
+    if largest <= 1000:
+        return ""
+
+    def five_smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    smooth = next(m for m in range(n, 0, -1) if five_smooth(m))
+    return (f"warning: record length {n} has the prime factor {largest}, which makes its FFTs"
+            f" slow; the nearest 5-smooth length at or below it is {smooth}\n")
+
+
+def test_slow_fft_length_warning_matches_brute_force(capsys):
+    for n in [*range(2, 5001), 1009 * 1013, 2 * 8191, 3_600_001]:
+        _warn_slow_fft_length(n)
+        assert capsys.readouterr().err == _slow_fft_warning(n), n
+
+
+@pytest.mark.parametrize("amp", [1e200, 1e-165], ids=["huge", "tiny"])
+def test_subtract_rms_of_a_huge_or_tiny_difference_is_finite(tmp_path, amp):
+    # Unscaled, the difference's squares overflow to inf or underflow to 0.
+    cfg = tmp_path / "sim.json"
+    dataio.write_json(cfg, {"sample_rate_hz": FS, "duration_s": 10.0, "seed": 3,
+                            "tones": [[10.0, amp, 0.0]],
+                            "noise": {"sensor_asd_t_sqrthz": 1e-15 * amp}})
+    rec, cal, diff = tmp_path / "rec.csv", tmp_path / "cal.json", tmp_path / "diff.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(rec)]) == EXIT_OK
+    assert main(["calibrate", "--in", str(rec), "--tone-freq", "10", "--f1", "49.9",
+                 "--f2", "68.8", "--out", str(cal)]) == EXIT_OK
+    # A separate interpreter, so that stderr holds any numpy warning as users see it.
+    env = dict(os.environ, PYTHONPATH=str(Path(serfkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "serfkit", "subtract", "--in", str(rec), "--cal", str(cal),
+         "--out", str(diff)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    rms = json.loads(proc.stdout)["rms_t"]
+    _, values = dataio.read_series_csv(diff)
+    peak = np.abs(values).max()
+    assert math.isfinite(rms)
+    expected = peak * math.sqrt(np.mean((values / peak) ** 2))
+    assert rms == pytest.approx(expected, rel=1e-12, abs=0.0)
