@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # Module -> the names serfkit re-exports from it.
 _EXPORTS = {
-    "cellchem": "CellComposition GasCoefficients predict_shift_width solve_composition",
+    "cellchem": "CellComposition GasCoefficients solve_composition",
     "errors": "ConfigError DegenerateDataError FitFailureError GeometryError InsufficientBandError "
     "InsufficientCoverageError InsufficientDataError InvalidCoefficientsError InvalidParameterError "
     "InvalidSlowingFactorError MissingToneError SerfkitError ShapeError UnphysicalCompositionError "

@@ -104,15 +104,3 @@ def solve_composition(
         )
     return CellComposition(he_amagat=float(he), n2_amagat=float(n2))
 
-
-def predict_shift_width(
-    comp: CellComposition, coeffs: GasCoefficients | None = None
-) -> tuple[float, float]:
-    """Exact linear forward map: composition to (shift_ghz, width_ghz).
-
-    Inverse of :func:`solve_composition` to floating-point precision.
-    """
-    if coeffs is None:
-        coeffs = K_D1_COEFFICIENTS
-    shift_ghz, width_ghz = coeffs.matrix @ [comp.he_amagat, comp.n2_amagat]
-    return float(shift_ghz), float(width_ghz)

@@ -211,27 +211,22 @@ def _warn_slow_fft_length(n: int) -> None:
 
 
 def _cmd_calibrate(args) -> int:
-    # The bandwidth source is checked before the record is read and its tone gated.
+    # Every flag is checked before the record is read and its tone gated.
     if not args.phase_points and (args.f1 is None or args.f2 is None):
         raise InvalidParameterError("provide either --phase-points or both --f1 and --f2")
     if args.phase_points and (args.f1 is not None or args.f2 is not None):
         raise InvalidParameterError("--phase-points fits f1 and f2; do not also give --f1 or --f2")
-    record = dataio.read_record_csv(args.in_path)
-    _warn_slow_fft_length(len(record))
-    ratio = amplitude_ratio(record, args.tone_freq)
     if args.phase_points:
         fit = fit_phase_model(dataio.read_phase_points_csv(args.phase_points))
         f1, f2 = fit.f1_hz, fit.f2_hz
     else:
         f1, f2 = args.f1, args.f2
-    cal = GradCalibration(
-        amplitude_ratio=ratio,
-        f1_hz=f1,
-        f2_hz=f2,
-        tone_freq_hz=args.tone_freq,
-        tone_amp_t=args.tone_amp,
-    )
-    return _finish(args, dataclasses.asdict(cal))
+    # 1.0 stands in for the measured ratio, so that the calibration's own checks run first.
+    cal = GradCalibration(1.0, f1, f2, tone_freq_hz=args.tone_freq, tone_amp_t=args.tone_amp)
+    record = dataio.read_record_csv(args.in_path)
+    _warn_slow_fft_length(len(record))
+    ratio = amplitude_ratio(record, args.tone_freq)
+    return _finish(args, dataclasses.asdict(dataclasses.replace(cal, amplitude_ratio=ratio)))
 
 
 def _cmd_subtract(args) -> int:

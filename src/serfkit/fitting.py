@@ -146,8 +146,8 @@ def covariance_from_jacobian(jac: np.ndarray, ssr: float) -> np.ndarray:
 def fit_weighted_linear(design: np.ndarray, y: np.ndarray, weights=None):
     """Weighted linear least squares ``y ~ design @ beta``.
 
-    Returns ``(beta, covariance, residual_rms)``. Weights are inverse
-    variances; equal weights when omitted.
+    Returns ``(beta, covariance)``. Weights are inverse variances; equal
+    weights when omitted.
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -159,5 +159,4 @@ def fit_weighted_linear(design: np.ndarray, y: np.ndarray, weights=None):
     yw = y * sw
     beta, *_ = np.linalg.lstsq(aw, yw, rcond=None)
     resid = yw - aw @ beta
-    ssr = float(resid @ resid)
-    return beta, covariance_from_jacobian(aw, ssr), float(np.sqrt(ssr / len(yw)))
+    return beta, covariance_from_jacobian(aw, float(resid @ resid))

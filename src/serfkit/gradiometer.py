@@ -15,7 +15,7 @@ before differencing, which cancels common-mode field noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class PhaseModelFit:
 
     f1_hz: float
     f2_hz: float
-    covariance: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
+    covariance: np.ndarray
 
 
 def phase_difference(freq_hz, f1_hz: float, f2_hz: float):
@@ -151,6 +151,15 @@ def fit_phase_model(points) -> PhaseModelFit:
     return PhaseModelFit(f1_hz=float(f1), f2_hz=float(f2), covariance=res.covariance)
 
 
+def _check_finite(value: float, record: TwoChannelRecord, what: str) -> None:
+    """Reject a record whose ``what`` overflowed, given ``value``, a reduction of it."""
+    if not math.isfinite(value):
+        top, bottom = record.top_t, record.bottom_t
+        peak = max(top.max(), -top.min(), bottom.max(), -bottom.min())
+        raise InvalidParameterError(f"{what} overflows: record samples reach {peak:.3g} T")
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
     """Top/bottom response ratio at the calibration tone.
 
@@ -163,13 +172,17 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
     ------
     MissingToneError
         Tone below 10x the local spectral floor in either channel.
+    InvalidParameterError
+        Samples so large that a channel's spectrum overflows.
     """
     n = len(record)
     nominal, lo, hi = _tone_span(n, record.sample_rate_hz, tone_freq_hz)
     mag_top = _hann_bins(np.fft.rfft(record.top_t), n, lo, hi)
+    _check_finite(mag_top.max(), record, "the top channel's spectrum")
     k = _tone_bin(mag_top, nominal - lo)
     _tone_gate(mag_top, k, tone_freq_hz, " in top channel")
     mag_bottom = _hann_bins(np.fft.rfft(record.bottom_t), n, lo, hi)
+    _check_finite(mag_bottom.max(), record, "the bottom channel's spectrum")
     _tone_gate(mag_bottom, k, tone_freq_hz, " in bottom channel")
     return float(mag_top[k] / mag_bottom[k])
 
@@ -196,6 +209,7 @@ def _correction(
     return correction
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def subtract(
     record: TwoChannelRecord, cal: GradCalibration, phase_correct: bool = True
 ) -> np.ndarray:
@@ -215,6 +229,9 @@ def subtract(
     directly by the FFT, no padding needed. The correction is built and
     applied in blocks of bins, in place, so the extra memory is about two
     record channels.
+
+    Raises InvalidParameterError when the samples are so large that the
+    difference or a channel's spectrum overflows.
     """
     n = len(record)
     bottom = np.fft.rfft(record.bottom_t)
@@ -228,9 +245,12 @@ def subtract(
     top = np.fft.rfft(record.top_t)
     top -= bottom
     del bottom
-    return np.fft.irfft(top, n)
+    difference = np.fft.irfft(top, n)
+    _check_finite(max(difference.max(), -difference.min()), record, "the difference")
+    return difference
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reduction_ratio(record: TwoChannelRecord, cal: GradCalibration, tone_freq_hz: float) -> float:
     """Tone amplitude in the top channel over its residual after subtraction.
 
@@ -246,11 +266,14 @@ def reduction_ratio(record: TwoChannelRecord, cal: GradCalibration, tone_freq_hz
     ------
     MissingToneError
         Tone not present in the input record.
+    InvalidParameterError
+        Samples so large that a channel's spectrum or the residual overflows.
     """
     n = len(record)
     nominal, lo, hi = _tone_span(n, record.sample_rate_hz, tone_freq_hz)
     spectrum = np.fft.rfft(record.top_t)
     mag = _hann_bins(spectrum, n, lo, hi)
+    _check_finite(mag.max(), record, "the top channel's spectrum")
     k = _tone_bin(mag, nominal - lo)
     _tone_gate(mag, k, tone_freq_hz, " in top channel")
     top_peak = mag[k]
@@ -262,6 +285,7 @@ def reduction_ratio(record: TwoChannelRecord, cal: GradCalibration, tone_freq_hz
     correction = _correction(cal, n, record.sample_rate_hz, start, stop)
     spectrum[start:stop] = top_bins - correction * spectrum[start:stop]
     mag = _hann_bins(spectrum, n, lo, hi)
+    _check_finite(mag.max(), record, "the residual's spectrum")
     residual_peak = mag[_tone_bin(mag, nominal - lo)]
     if residual_peak == 0.0:
         return math.inf

@@ -6,7 +6,7 @@ baseline) and magnetometer resonance response curves (positive peak).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,8 +64,8 @@ class LorentzianFit:
     hwhm_hz: float
     amplitude: float
     baseline: float
-    residual_rms: float = 0.0
-    covariance: np.ndarray = field(default_factory=lambda: np.zeros((4, 4)))
+    residual_rms: float
+    covariance: np.ndarray
 
     def __post_init__(self):
         cov = np.asarray(self.covariance, dtype=float)

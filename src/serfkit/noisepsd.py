@@ -238,7 +238,8 @@ def calibrate_tesla(psd: PsdEstimate, tone_freq_hz: float, tone_amp_t: float) ->
     MissingToneError
         Tone not visible above the local floor.
     InvalidParameterError
-        ``tone_amp_t`` not finite and positive, or a scale that overflows.
+        ``tone_amp_t`` not finite and positive, or a scale that overflows or
+        is subnormal, which would round the scaled ASD.
     """
     if not 0 < tone_amp_t < math.inf:
         raise InvalidParameterError(f"tone_amp_t must be finite and positive, got {tone_amp_t:g}")
@@ -246,6 +247,10 @@ def calibrate_tesla(psd: PsdEstimate, tone_freq_hz: float, tone_amp_t: float) ->
     scale = tone_amp_t / measured
     if not math.isfinite(scale):
         raise InvalidParameterError(f"tesla scale {tone_amp_t:g} T / {measured:g} T overflows")
+    if scale < sys.float_info.min:
+        raise InvalidParameterError(
+            f"tesla scale {scale:g} is below the smallest normal float {sys.float_info.min:g}"
+        )
     return scale
 
 

@@ -15,7 +15,7 @@ yields T_SE, which converts to the alkali number density through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class TseFit:
 
     t_se_s: float
     intrinsic_hwhm_hz: float
-    covariance: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
+    covariance: np.ndarray
 
 
 def se_broadening_factor(nuclear_spin_i: float, slowing_q: float) -> float:
@@ -168,13 +168,13 @@ def fit_tse(
     cov = np.zeros((2, 2))
     if intrinsic_hwhm_hz is None:
         design = np.column_stack([x, np.ones_like(x)])
-        beta, cov_lin, _ = fit_weighted_linear(design, hwhm, weights)
+        beta, cov_lin = fit_weighted_linear(design, hwhm, weights)
         slope, intercept = beta
         scale = np.diag([1.0 / (TWO_PI * factor), 1.0])
         cov = scale @ cov_lin @ scale.T
     else:
         design = x[:, None]
-        beta, cov_lin, _ = fit_weighted_linear(design, hwhm - intrinsic_hwhm_hz, weights)
+        beta, cov_lin = fit_weighted_linear(design, hwhm - intrinsic_hwhm_hz, weights)
         slope = beta[0]
         intercept = intrinsic_hwhm_hz
         cov[0, 0] = cov_lin[0, 0] / (TWO_PI * factor) ** 2

@@ -169,7 +169,7 @@ def test_c07_end_to_end_gradiometry():
 
     diff = subtract(record, cal, phase_correct=True)
     floor = band_floor(welch_asd(diff, FS), 20.0, 30.0)
-    assert floor == pytest.approx(1.2e-15, rel=0.10)
+    assert floor == pytest.approx(1.2e-15, rel=0.10, abs=0)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -193,7 +193,7 @@ def test_c08_psd_calibration_and_parseval():
     psd = welch_asd(series, FS)
     scale = calibrate_tesla(psd, 10.0, 16e-12)
     recovered = tone_amplitude(psd.scaled(scale), 10.0)
-    assert recovered == pytest.approx(16e-12, rel=0.02)
+    assert recovered == pytest.approx(16e-12, rel=0.02, abs=0)
 
     noise = rng.standard_normal(n)
     psd_noise = welch_asd(noise, FS)

@@ -7,7 +7,6 @@ from serfkit.cellchem import (
     K_D1_COEFFICIENTS,
     CellComposition,
     GasCoefficients,
-    predict_shift_width,
     solve_composition,
 )
 from serfkit.errors import (
@@ -35,44 +34,15 @@ def test_pure_nitrogen_column():
     assert comp.n2_amagat == pytest.approx(1.0, abs=1e-12)
 
 
-def test_predict_reference_cell():
-    shift_ghz, width_ghz = predict_shift_width(CellComposition(1.86, 0.34))
-    assert shift_ghz == pytest.approx(1.916, abs=1e-12)
-    assert width_ghz == pytest.approx(31.878, abs=1e-12)
-
-
-def test_predict_empty_cell():
-    shift_ghz, width_ghz = predict_shift_width(CellComposition(0.0, 0.0))
-    assert shift_ghz == 0.0
-    assert width_ghz == 0.0
-
-
-def test_predict_coefficient_sums():
-    shift, width = predict_shift_width(CellComposition(1.0, 1.0))
-    assert shift == pytest.approx(-11.8, abs=1e-12)
-    assert width == pytest.approx(34.3, abs=1e-12)
-
-
 def test_round_trip_random_compositions():
     rng = np.random.default_rng(9)
     for _ in range(50):
         comp = CellComposition(rng.uniform(0, 5), rng.uniform(0, 5))
-        shift_ghz, width_ghz = predict_shift_width(comp)
+        # The linear forward map, composition to (shift, width).
+        shift_ghz, width_ghz = K_D1_COEFFICIENTS.matrix @ [comp.he_amagat, comp.n2_amagat]
         back = solve_composition(shift_ghz, width_ghz)
         assert back.he_amagat == pytest.approx(comp.he_amagat, rel=1e-12, abs=1e-12)
         assert back.n2_amagat == pytest.approx(comp.n2_amagat, rel=1e-12, abs=1e-12)
-
-
-def test_linearity_of_prediction():
-    c1 = CellComposition(1.2, 0.4)
-    c2 = CellComposition(0.3, 2.0)
-    a, b = 0.7, 1.9
-    mixed = CellComposition(a * c1.he_amagat + b * c2.he_amagat,
-                            a * c1.n2_amagat + b * c2.n2_amagat)
-    p1 = np.array(predict_shift_width(c1))
-    p2 = np.array(predict_shift_width(c2))
-    pm = np.array(predict_shift_width(mixed))
-    assert pm == pytest.approx(a * p1 + b * p2, rel=1e-12)
 
 
 def test_negative_solution_reports_raw_values():

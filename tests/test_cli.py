@@ -157,7 +157,7 @@ def test_fit_serf_pipeline(tmp_path):
     out = tmp_path / "serf.json"
     assert main(["fit-serf", "--in", str(tmp_path / "pts.csv"), "--out", str(out)]) == EXIT_OK
     result = json.loads(out.read_text())
-    assert result["t_se_s"] == pytest.approx(8.6e-6, rel=1e-9)
+    assert result["t_se_s"] == pytest.approx(8.6e-6, rel=1e-9, abs=0)
     assert result["intrinsic_hwhm_hz"] == pytest.approx(10.45, rel=1e-9)
     assert result["n_cm3"] == pytest.approx(1.163e14, rel=1e-3)
 
@@ -225,7 +225,7 @@ def test_psd_with_calibration_and_band(capsys, tmp_path):
                  "--calibrate-tone", "10:16e-12", "--out", str(out)])
     assert code == EXIT_OK
     result = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert result["band_floor_t_sqrthz"] == pytest.approx(8e-15, rel=0.10)
+    assert result["band_floor_t_sqrthz"] == pytest.approx(8e-15, rel=0.10, abs=0)
     header = out.read_text().splitlines()[0]
     assert header == "freq_hz,asd_t_sqrthz"
 
@@ -248,7 +248,7 @@ def test_full_pipeline_difference_floor(capsys, tmp_path):
     code = main(["psd", "--in", str(diff), "--band", "20:30", "--out", str(out)])
     assert code == EXIT_OK
     result = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert result["band_floor_t_sqrthz"] == pytest.approx(1.2e-15, rel=0.15)
+    assert result["band_floor_t_sqrthz"] == pytest.approx(1.2e-15, rel=0.15, abs=0)
 
 
 def test_psd_missing_tone_exits_2(tmp_path):
@@ -288,7 +288,7 @@ def test_nmr_estimate_from_config(tmp_path):
     dataio.write_json(cfg, spec)
     out = tmp_path / "est.json"
     assert main(["nmr-estimate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    assert json.loads(out.read_text())["field_t"] == pytest.approx(2.575e-10, rel=1e-3)
+    assert json.loads(out.read_text())["field_t"] == pytest.approx(2.575e-10, rel=1e-3, abs=0)
 
 
 def test_missing_input_file_exits_2(tmp_path):
@@ -668,7 +668,7 @@ def _tone_record_csv(tmp_path, n=8192):
     "command, message",
     [
         (["calibrate", "--tone-freq", "nan", "--f1", "49.9", "--f2", "68.8"],
-         "tone frequency must be finite, got nan"),
+         "tone_freq_hz must be finite, got nan"),
         (["psd", "--calibrate-tone", "nan:1e-12"], "tone frequency must be finite, got nan"),
         (["calibrate", "--tone-freq", "10", "--f1", "inf", "--f2", "68.8",
           "--tone-amp", "nan"], "f1_hz must be finite, got inf"),
@@ -722,6 +722,69 @@ def test_calibrate_negative_tone_amplitude_exits_2(capsys, tmp_path):
     assert capsys.readouterr().err == "error: tone_amp_t must not be negative (0 means no tone)\n"
     assert not out.exists()
     assert not (tmp_path / "cal.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--tone-freq", "10", "--tone-amp", "-3"], "tone_amp_t"),
+    (["--tone-freq", "-10"], "tone_freq_hz"),
+], ids=["tone_amp", "tone_freq"])
+def test_calibrate_checks_its_flags_before_reading_the_record(capsys, tmp_path, flags, field):
+    # Common noise alone fails the tone gate; the bad flag is reported first.
+    common = np.random.default_rng(13).normal(0, 1e-12 * math.sqrt(FS / 2), 8192)
+    rec = tmp_path / "noise.csv"
+    dataio.write_record_csv(rec, TwoChannelRecord(FS, common, common))
+    out = tmp_path / "cal.json"
+    code = main(["calibrate", "--in", str(rec), *flags, "--f1", "50", "--f2", "60",
+                 "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {field} must not be negative (0 means no tone)\n"
+    assert not out.exists()
+    assert not (tmp_path / "cal.json.manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def out_of_range_inputs(tmp_path_factory):
+    """A record whose channel spectra overflow, and a series whose tesla scale is subnormal."""
+    base = tmp_path_factory.mktemp("range")
+    cfg = base / "sim.json"
+    write_sim_config(cfg, seed=41, duration=10.0)
+    rec = base / "rec.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(rec)]) == EXIT_OK
+    record = dataio.read_record_csv(rec)
+    huge = base / "huge.csv"  # peaks near 1.9e305
+    dataio.write_record_csv(huge, TwoChannelRecord(
+        FS, np.ldexp(record.top_t, 1050), np.ldexp(record.bottom_t, 1050)))
+    cal = base / "cal.json"
+    dataio.write_json(cal, GOOD_CAL)
+    t = np.arange(8192) / FS
+    x = np.sin(2 * np.pi * 10.0 * t) + np.random.default_rng(3).normal(0, 1e-3, 8192)
+    series = base / "series.csv"  # needs a tesla scale near 1.4e-318
+    dataio.write_series_csv(series, FS, np.ldexp(x, 1020))
+    return {"huge": huge, "cal": cal, "series": series}
+
+
+@pytest.mark.parametrize("command, message", [
+    (["subtract", "--in", "huge", "--cal", "cal"], "the difference overflows"),
+    (["calibrate", "--in", "huge", "--tone-freq", "10", "--f1", "49.9", "--f2", "68.8"],
+     "the top channel's spectrum overflows"),
+    (["psd", "--in", "series", "--calibrate-tone", "10:16e-12"], "tesla scale 1.4"),
+], ids=["subtract", "calibrate", "psd"])
+def test_out_of_range_magnitude_exits_2_with_one_error_line(
+    tmp_path, out_of_range_inputs, command, message
+):
+    # A separate interpreter, so that stderr holds any numpy warning as users see it.
+    argv = [str(out_of_range_inputs.get(word, word)) for word in command]
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(serfkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "serfkit", *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.startswith(f"error: {message}")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_negative_seed_exits_2(capsys, tmp_path):
@@ -915,7 +978,7 @@ def test_psd_of_a_tiny_or_huge_series_exits_0(capsys, tmp_path, amp, option):
     assert captured.err == ""
     floor = json.loads(captured.out)["band_floor_t_sqrthz"]
     expected = noise * math.sqrt(2.0 / FS) * (16e-12 / amp if option else 1.0)
-    assert floor == pytest.approx(expected, rel=0.2)
+    assert floor == pytest.approx(expected, rel=0.2, abs=0)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

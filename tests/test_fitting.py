@@ -10,6 +10,9 @@ from serfkit.fitting import (
     fit_damped_least_squares,
     fit_weighted_linear,
 )
+from serfkit.gradiometer import PhaseModelFit
+from serfkit.lineshape import LorentzianFit
+from serfkit.serf import TseFit
 
 
 def _quadratic_problem(target):
@@ -84,9 +87,8 @@ def test_weighted_linear_recovers_exactly():
     x = np.linspace(0.0, 10.0, 20)
     design = np.column_stack([x, np.ones_like(x)])
     y = -0.75 * x + 4.0
-    beta, cov, rms = fit_weighted_linear(design, y)
+    beta, cov = fit_weighted_linear(design, y)
     assert beta == pytest.approx([-0.75, 4.0], rel=1e-12)
-    assert rms < 1e-12
     assert cov == pytest.approx(np.zeros((2, 2)), abs=1e-20)
 
 
@@ -98,7 +100,7 @@ def test_weighted_linear_downweights_outlier():
     y_out[5] += 100.0
     weights = np.ones_like(x)
     weights[5] = 1e-12
-    beta, _, _ = fit_weighted_linear(design, y_out, weights)
+    beta, _ = fit_weighted_linear(design, y_out, weights)
     assert beta == pytest.approx([2.0, 1.0], rel=1e-6)
 
 
@@ -118,3 +120,19 @@ def test_covariance_of_zero_column_is_zero():
     assert np.all(np.isfinite(cov))
     assert cov[1, 1] == 0.0 and cov[0, 1] == 0.0
     assert cov[0, 0] > 0.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PhaseModelFit(f1_hz=50.0, f2_hz=70.0),
+        lambda: TseFit(t_se_s=8.6e-6, intrinsic_hwhm_hz=1.0),
+        lambda: LorentzianFit(0.0, 1.0, 1.0, 0.0, residual_rms=0.0),
+        lambda: LorentzianFit(0.0, 1.0, 1.0, 0.0, covariance=np.zeros((4, 4))),
+    ],
+    ids=["phase_model", "tse", "lorentzian_covariance", "lorentzian_rms"],
+)
+def test_fit_result_cannot_omit_its_uncertainty(build):
+    # A fit result without its uncertainty would read as zero error.
+    with pytest.raises(TypeError, match="missing 1 required"):
+        build()

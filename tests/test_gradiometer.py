@@ -57,7 +57,7 @@ class TestPhaseModel:
     def test_odd_under_bandwidth_swap(self):
         f = np.linspace(0.1, 300.0, 57)
         assert phase_difference(f, F1, F2) == pytest.approx(
-            -phase_difference(f, F2, F1), rel=1e-14
+            -phase_difference(f, F2, F1), rel=1e-14, abs=0
         )
 
     def test_limits_vanish(self):
@@ -253,6 +253,48 @@ class TestReductionRatio:
         cal = GradCalibration(1.0, F1, F2)
         with pytest.raises(MissingToneError):
             reduction_ratio(rec, cal, 10.0)
+
+
+def _scaled_demo_record(k):
+    """10 s of a demo-like record (16 pT tone at 10 Hz) with every sample scaled by ``2**k``."""
+    cfg = SimConfig(FS, 10.0, seed=41, f1_hz=F1, f2_hz=F2, tones=((10.0, 16e-12, 0.0),),
+                    noise=NoiseModel(common_asd_t_sqrthz=8e-15, sensor_asd_t_sqrthz=0.85e-15))
+    rec = simulate_record(cfg)
+    return TwoChannelRecord(FS, np.ldexp(rec.top_t, k), np.ldexp(rec.bottom_t, k))
+
+
+@pytest.mark.parametrize(
+    "k, ratio, call, what",
+    [
+        (1050, 1.0, lambda rec, cal: amplitude_ratio(rec, 10.0), "top channel's spectrum"),
+        (1050, 1.0, lambda rec, cal: subtract(rec, cal), "difference"),
+        (1050, 1.0, lambda rec, cal: subtract(rec, cal, phase_correct=False), "difference"),
+        (1050, 1.0, lambda rec, cal: reduction_ratio(rec, cal, 10.0), "top channel's spectrum"),
+        # Finite channel spectra, but the corrected bottom spectrum overflows.
+        (1000, 1e300, lambda rec, cal: subtract(rec, cal), "difference"),
+        (1000, 1e300, lambda rec, cal: reduction_ratio(rec, cal, 10.0), "residual's spectrum"),
+    ],
+    ids=["amplitude_ratio", "subtract", "subtract_no_phase", "reduction_ratio",
+         "subtract_huge_ratio", "reduction_ratio_huge_ratio"],
+)
+def test_overflow_is_rejected_with_the_record_peak(k, ratio, call, what):
+    # pyproject.toml turns numpy's overflow warnings into errors, so any
+    # warning on the way fails this test too.
+    rec = _scaled_demo_record(k)
+    peak = max(np.abs(rec.top_t).max(), np.abs(rec.bottom_t).max())
+    cal = GradCalibration(ratio, F1, F2, tone_freq_hz=10.0, tone_amp_t=16e-12)
+    with pytest.raises(InvalidParameterError, match=f"the {what} overflows") as excinfo:
+        call(rec, cal)
+    assert str(excinfo.value).endswith(f"record samples reach {peak:.3g} T")
+
+
+def test_near_overflow_record_scales_exactly():
+    # 2**1000 still fits: every result is the 2**0 one, scaled by the power of two.
+    small, big = _scaled_demo_record(0), _scaled_demo_record(1000)
+    cal = GradCalibration(amplitude_ratio(small, 10.0), F1, F2, tone_freq_hz=10.0)
+    assert amplitude_ratio(big, 10.0) == cal.amplitude_ratio
+    assert np.array_equal(subtract(big, cal), np.ldexp(subtract(small, cal), 1000))
+    assert reduction_ratio(big, cal, 10.0) == reduction_ratio(small, cal, 10.0)
 
 
 class TestCalibrationType:

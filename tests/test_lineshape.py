@@ -181,11 +181,11 @@ class TestJacobian:
 class TestFitResult:
     def test_covariance_validated(self):
         with pytest.raises(InvalidParameterError):
-            LorentzianFit(0.0, 1.0, 1.0, 0.0, covariance=np.zeros((3, 3)))
+            LorentzianFit(0.0, 1.0, 1.0, 0.0, residual_rms=0.0, covariance=np.zeros((3, 3)))
 
     def test_width_positive_required(self):
         with pytest.raises(InvalidParameterError):
-            LorentzianFit(0.0, 0.0, 1.0, 0.0)
+            LorentzianFit(0.0, 0.0, 1.0, 0.0, residual_rms=0.0, covariance=np.zeros((4, 4)))
 
     def test_covariance_psd_on_noisy_fit(self):
         sweep = make_sweep(100.0, 8.0, 1.0, 0.0, n=250, noise=0.01, seed=5)

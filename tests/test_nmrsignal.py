@@ -51,7 +51,7 @@ class TestPolarization:
     def test_linear_regime(self):
         small = thermal_polarization(PROTON_GAMMA, 1e-4, 300.0)
         large = thermal_polarization(PROTON_GAMMA, 2.0, 300.0)
-        assert small * (2.0 / 1e-4) == pytest.approx(large, rel=1e-9)
+        assert small * (2.0 / 1e-4) == pytest.approx(large, rel=1e-9, abs=0)
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
@@ -79,7 +79,7 @@ class TestDipoleField:
     def test_linear_in_prepol_field_small_polarization(self):
         weak = dipole_field(water_spec(prepol_field_t=1e-4))
         strong = dipole_field(water_spec(prepol_field_t=2.0))
-        assert weak * (2.0 / 1e-4) == pytest.approx(strong, rel=1e-9)
+        assert weak * (2.0 / 1e-4) == pytest.approx(strong, rel=1e-9, abs=0)
 
     def test_positive_for_positive_prepol(self):
         assert dipole_field(water_spec()) > 0

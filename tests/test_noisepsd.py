@@ -92,7 +92,7 @@ class TestCalibrateTesla:
         psd = welch_asd(self.record_with_gain(3.7), FS)
         scale = calibrate_tesla(psd, 10.0, 16e-12)
         recovered = tone_amplitude(psd.scaled(scale), 10.0)
-        assert recovered == pytest.approx(16e-12, rel=0.02)
+        assert recovered == pytest.approx(16e-12, rel=0.02, abs=0)
 
     def test_unity_gain_scale_near_one(self):
         psd = welch_asd(self.record_with_gain(1.0), FS)
@@ -110,6 +110,29 @@ class TestCalibrateTesla:
         with pytest.raises(MissingToneError):
             calibrate_tesla(psd, 123.0, 16e-12)
 
+    @pytest.mark.parametrize("k", [1000, 1020])
+    def test_subnormal_scale_rejected(self, k):
+        # Mapping a unit tone scaled by 2**k onto 16 pT takes a subnormal
+        # scale, whose few significant bits would round every scaled bin.
+        t = np.arange(8192) / FS
+        x = np.sin(2 * np.pi * 10.0 * t) + white_noise(1e-3, 8192, seed=3)
+        psd = welch_asd(np.ldexp(x, k), FS)
+        with pytest.raises(InvalidParameterError, match="below the smallest normal float"):
+            calibrate_tesla(psd, 10.0, 16e-12)
+
+
+@pytest.mark.parametrize("snr", [2.5, 5.0, 9.9])
+def test_tone_gate_is_ten_times_the_local_floor(snr):
+    # The documented gate, as a literal: a tone between 2 and 10 times its
+    # local floor is rejected, one just above 10 times is kept.
+    freqs = np.linspace(0.0, FS / 2.0, 2049)
+    asd = np.ones(2049)
+    asd[200] = snr
+    with pytest.raises(MissingToneError, match=rf"has SNR {snr:.2f} < 10$"):
+        tone_amplitude(PsdEstimate(freqs, asd, 4096, 0.5, 1), freqs[200])
+    asd[200] = 10.5
+    assert tone_amplitude(PsdEstimate(freqs, asd, 4096, 0.5, 1), freqs[200]) > 0
+
 
 class TestBandFloor:
     def flat_psd(self, level=8e-15, nbins=2049):
@@ -117,12 +140,12 @@ class TestBandFloor:
         return PsdEstimate(freqs, np.full(nbins, level), 4096, 0.5, 10)
 
     def test_flat_floor(self):
-        assert band_floor(self.flat_psd(), 20.0, 30.0) == pytest.approx(8e-15, rel=1e-12)
+        assert band_floor(self.flat_psd(), 20.0, 30.0) == pytest.approx(8e-15, rel=1e-12, abs=0)
 
     def test_flat_noise_floor_from_welch(self):
         x = white_noise(sigma=8e-15 * math.sqrt(FS / 2.0), seed=7)
         psd = welch_asd(x, FS)
-        assert band_floor(psd, 20.0, 30.0) == pytest.approx(8e-15, rel=0.03)
+        assert band_floor(psd, 20.0, 30.0) == pytest.approx(8e-15, rel=0.03, abs=0)
 
     def test_tone_excluded_from_floor(self):
         t = np.arange(60000) / FS

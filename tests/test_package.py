@@ -61,7 +61,7 @@ def test_bare_import_loads_no_submodule_and_no_numpy(seen):
 
 
 def test_every_exported_name_is_the_object_in_its_module(seen):
-    assert len(seen["all"]) == 60
+    assert len(seen["all"]) == 59
     assert seen["misplaced"] == []
 
 
@@ -79,3 +79,8 @@ def test_dir_lists_all_exports_and_modules(seen):
 
 def test_unknown_name_raises_attribute_error(seen):
     assert seen["unknown"] == "module 'serfkit' has no attribute 'nope'"
+
+
+def test_deleted_forward_model_is_not_exported():
+    with pytest.raises(AttributeError):
+        serfkit.predict_shift_width

@@ -82,7 +82,7 @@ class TestFitTse:
     def test_noiseless_exact_recovery(self):
         points = make_points(8.6e-6, 10.45, np.arange(20.0, 201.0, 20.0))
         fit = fit_tse(points)
-        assert fit.t_se_s == pytest.approx(8.6e-6, rel=1e-10)
+        assert fit.t_se_s == pytest.approx(8.6e-6, rel=1e-10, abs=0)
         assert fit.intrinsic_hwhm_hz == pytest.approx(10.45, rel=1e-10)
 
     def test_noisy_recovery_within_five_percent(self):
@@ -93,7 +93,7 @@ class TestFitTse:
     def test_fixed_intrinsic_mode(self):
         points = make_points(8.6e-6, 10.45, np.arange(20.0, 201.0, 20.0))
         fit = fit_tse(points, intrinsic_hwhm_hz=10.45)
-        assert fit.t_se_s == pytest.approx(8.6e-6, rel=1e-10)
+        assert fit.t_se_s == pytest.approx(8.6e-6, rel=1e-10, abs=0)
         assert fit.intrinsic_hwhm_hz == 10.45
         assert fit.covariance[1, 1] == 0.0
 

@@ -74,8 +74,8 @@ class TestTones:
         rec = simulate_record(cfg)
         top = tone_amplitude(welch_asd(rec.top_t, FS, len(rec)), 10.0)
         bottom = tone_amplitude(welch_asd(rec.bottom_t, FS, len(rec)), 10.0)
-        assert top == pytest.approx(16e-12 * abs(channel_transfer(10.0, F1)) * gains[0], rel=0.01)
-        assert bottom == pytest.approx(16e-12 * abs(channel_transfer(10.0, F2)) * gains[1], rel=0.01)
+        expected = [16e-12 * abs(channel_transfer(10.0, f)) * g for f, g in zip((F1, F2), gains)]
+        assert [top, bottom] == pytest.approx(expected, rel=0.01, abs=0)
 
     def test_injected_tone_phases_match_model(self):
         tones = tuple((f, 1e-12, 0.0) for f in (5.0, 20.0, 50.0, 100.0, 200.0))
@@ -96,7 +96,7 @@ class TestNoiseFloors:
         rec = simulate_record(cfg)
         for series in (rec.top_t, rec.bottom_t):
             psd = welch_asd(series, FS)
-            assert band_floor(psd, 2.0, 10.0) == pytest.approx(8e-15, rel=0.05)
+            assert band_floor(psd, 2.0, 10.0) == pytest.approx(8e-15, rel=0.05, abs=0)
 
     def test_sensor_floor_uncorrelated_sum_after_subtraction(self):
         cfg = SimConfig(FS, 60.0, seed=4, f1_hz=F1, f2_hz=F2,
@@ -108,7 +108,7 @@ class TestNoiseFloors:
                               tone_freq_hz=10.0, tone_amp_t=16e-12)
         diff = subtract(rec, cal, phase_correct=True)
         floor = band_floor(welch_asd(diff, FS), 20.0, 30.0)
-        assert floor == pytest.approx(1.2e-15 * math.sqrt(2.0), rel=0.10)
+        assert floor == pytest.approx(1.2e-15 * math.sqrt(2.0), rel=0.10, abs=0)
 
     def test_gradient_noise_survives_subtraction(self):
         base = dict(sample_rate_hz=FS, duration_s=30.0, f1_hz=F1, f2_hz=F2,
@@ -123,7 +123,7 @@ class TestNoiseFloors:
         floor = band_floor(welch_asd(diff, FS), 20.0, 30.0)
         # The antisymmetric split makes the difference carry the full
         # gradient density.
-        assert floor == pytest.approx(grad, rel=0.15)
+        assert floor == pytest.approx(grad, rel=0.15, abs=0)
 
     def test_one_over_f_corner_boosts_low_band(self):
         cfg = SimConfig(FS, 60.0, seed=6, f1_hz=F1, f2_hz=F2,
