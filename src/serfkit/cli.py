@@ -444,15 +444,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ValidationError as err:
+    except (ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except FitFailureError as err:
         print(f"fit failed: {err}", file=sys.stderr)
         return EXIT_FIT_FAILURE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

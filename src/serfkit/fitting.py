@@ -73,9 +73,8 @@ def fit_damped_least_squares(
     ssr = float(r @ r)
     lam = DAMPING_START
     trials = 0
-    converged = False
 
-    while not converged:
+    while True:
         jac = jacobian_fn(p)
         grad = jac.T @ r
         if np.max(np.abs(grad)) < GRAD_TOL:
@@ -95,22 +94,19 @@ def fit_damped_least_squares(
                 step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
                 step = None
-            accepted = False
             if step is not None and np.all(np.isfinite(step)):
                 p_try = p + step
                 r_try = residual_fn(p_try)
                 ssr_try = float(r_try @ r_try)
                 if np.isfinite(ssr_try) and ssr_try <= ssr:
-                    p, r, ssr = p_try, r_try, ssr_try
-                    lam = max(lam / DAMPING_SHRINK, DAMPING_MIN)
-                    if np.linalg.norm(step) <= STEP_TOL * (STEP_TOL + np.linalg.norm(p)):
-                        converged = True
-                    accepted = True
-            if accepted:
-                break
+                    break
             lam *= DAMPING_GROW
             if lam > DAMPING_MAX:
                 raise FitFailureError("damping factor overflow, fit stalled", params=p)
+        p, r, ssr = p_try, r_try, ssr_try
+        lam = max(lam / DAMPING_SHRINK, DAMPING_MIN)
+        if np.linalg.norm(step) <= STEP_TOL * (STEP_TOL + np.linalg.norm(p)):
+            break
 
     jac = jacobian_fn(p)
     cov = covariance_from_jacobian(jac, ssr)

@@ -187,18 +187,18 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
     return float(mag_top[k] / mag_bottom[k])
 
 
-def _correction(
-    cal: GradCalibration, n: int, sample_rate_hz: float, start: int, stop: int, phase_correct=True
-) -> np.ndarray:
-    """``subtract``'s factor on bins ``start..stop-1`` of the bottom channel's rfft."""
-    correction = np.full(stop - start, cal.amplitude_ratio, dtype=complex)
+def _corrected(bins, cal: GradCalibration, n: int, sample_rate_hz: float, start: int,
+               phase_correct=True) -> np.ndarray:
+    """``subtract``'s correction times ``bins``, bins ``start..`` of the bottom channel's rfft.
+
+    Out of place: an in-place product can round a one-element block differently.
+    """
+    stop = start + len(bins)
+    correction = np.full(len(bins), cal.amplitude_ratio, dtype=complex)
     if phase_correct:
-        anchor = (
-            magnitude_ratio(cal.tone_freq_hz, cal.f1_hz, cal.f2_hz)
-            if cal.tone_freq_hz > 0
-            else 1.0
-        )
         freqs = np.arange(start, stop) * (1.0 / (n * (1.0 / sample_rate_hz)))  # as np.fft.rfftfreq
+        # Anchored at the tone; magnitude_ratio(0, f1, f2) is exactly 1, as with no tone.
+        anchor = magnitude_ratio(cal.tone_freq_hz, cal.f1_hz, cal.f2_hz)
         correction *= magnitude_ratio(freqs, cal.f1_hz, cal.f2_hz) / anchor
         rotation = 1j * phase_difference(freqs, cal.f1_hz, cal.f2_hz)
         correction *= np.exp(rotation, out=rotation)
@@ -206,7 +206,7 @@ def _correction(
         correction[0] = 1.0
     if stop == n // 2 + 1 and n % 2 == 0:
         correction[-1] = abs(correction[-1])
-    return correction
+    return correction * bins
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -237,11 +237,9 @@ def subtract(
     bottom = np.fft.rfft(record.bottom_t)
     n_bins = len(bottom)
     for start in range(0, n_bins, _BLOCK):
-        stop = min(start + _BLOCK, n_bins)
-        correction = _correction(cal, n, record.sample_rate_hz, start, stop, phase_correct)
-        # correction * bottom, not bottom * correction: the two can differ in
-        # the last bit.
-        np.multiply(correction, bottom[start:stop], out=bottom[start:stop])
+        bottom[start : start + _BLOCK] = _corrected(
+            bottom[start : start + _BLOCK], cal, n, record.sample_rate_hz, start, phase_correct
+        )
     top = np.fft.rfft(record.top_t)
     top -= bottom
     del bottom
@@ -282,8 +280,8 @@ def reduction_ratio(record: TwoChannelRecord, cal: GradCalibration, tone_freq_hz
     top_bins = spectrum[start:stop].copy()
     del spectrum
     spectrum = np.fft.rfft(record.bottom_t)
-    correction = _correction(cal, n, record.sample_rate_hz, start, stop)
-    spectrum[start:stop] = top_bins - correction * spectrum[start:stop]
+    spectrum[start:stop] = top_bins - _corrected(spectrum[start:stop], cal, n,
+                                                 record.sample_rate_hz, start)
     mag = _hann_bins(spectrum, n, lo, hi)
     _check_finite(mag.max(), record, "the residual's spectrum")
     residual_peak = mag[_tone_bin(mag, nominal - lo)]

@@ -123,8 +123,8 @@ def welch_asd(
     e = max(math.frexp(peak)[1], sys.float_info.min_exp)
 
     window = hann_window(segment_len)
+    # At least 1: int(x * L) <= L - 1 for any float x < 1 and integer L < 2**53.
     step = segment_len - int(overlap_fraction * segment_len)
-    step = max(step, 1)
     starts = range(0, len(series) - segment_len + 1, step)
     k = math.frexp(sample_rate_hz)[1] // 2
     scale = 2.0 / (math.ldexp(sample_rate_hz, -2 * k) * float(window @ window))
@@ -132,13 +132,11 @@ def welch_asd(
     e -= k
 
     psd = np.zeros(segment_len // 2 + 1)
-    n_avg = 0
     for s in starts:
         seg = series[s : s + segment_len]
         spec = np.fft.rfft(seg * window)
         psd += scale * np.abs(spec) ** 2
-        n_avg += 1
-    psd /= n_avg
+    psd /= len(starts)
     # One-sided doubling does not apply to the DC and Nyquist bins.
     psd[0] *= 0.5
     if segment_len % 2 == 0:
@@ -154,7 +152,7 @@ def welch_asd(
         asd_t_sqrthz=np.ldexp(asd, e),
         segment_len=segment_len,
         overlap_fraction=overlap_fraction,
-        n_averages=n_avg,
+        n_averages=len(starts),
     )
 
 

@@ -10,7 +10,7 @@ the inter-channel phase difference follow
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,6 +38,9 @@ class NoiseModel:
     one_over_f_corner_hz: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise InvalidParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         top, bottom = self.sensor_pair
         if min(self.common_asd_t_sqrthz, self.gradient_asd_t_sqrthz, top, bottom) < 0:
             raise InvalidParameterError("noise ASDs must be nonnegative")
@@ -70,6 +73,9 @@ class SimConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
+        for name in ("sample_rate_hz", "duration_s", "f1_hz", "f2_hz", "channel_gains", "tones"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.sample_rate_hz > 0 or not self.duration_s > 0:
             raise ConfigError("sample rate and duration must be positive")
         if self.n_samples < MIN_SAMPLES:

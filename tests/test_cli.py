@@ -565,6 +565,36 @@ def test_bad_nested_config_value_names_the_field(capsys, tmp_path, extra, messag
     assert not out.exists()
 
 
+# json.loads reads NaN and Infinity. Before, the NaN corner was dropped
+# silently (exit 0), and the NaN or infinite levels reported only
+# "simulation produced non-finite samples".
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"noise": {"one_over_f_corner_hz": math.nan}},
+         "noise: one_over_f_corner_hz must be finite, got nan"),
+        ({"noise": {"common_asd_t_sqrthz": math.inf}},
+         "noise: common_asd_t_sqrthz must be finite, got inf"),
+        ({"noise": {"sensor_asd_t_sqrthz": [1e-15, math.nan]}},
+         "noise: sensor_asd_t_sqrthz must be finite, got (1e-15, nan)"),
+        ({"channel_gains": [1.0, math.inf]}, "channel_gains must be finite, got (1.0, inf)"),
+        ({"f1_hz": math.nan}, "f1_hz must be finite, got nan"),
+        ({"tones": [[10.0, math.inf, 0.0]]}, "tones must be finite, got ((10.0, inf, 0.0),)"),
+        ({"duration_s": math.inf}, "duration_s must be finite, got inf"),
+    ],
+    ids=["nan_corner", "inf_common", "nan_sensor", "inf_gain", "nan_f1", "inf_tone",
+         "inf_duration"],
+)
+def test_simulate_non_finite_config_number_names_the_field(capsys, tmp_path, extra, message):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"sample_rate_hz": FS, "duration_s": 10.0, **extra}))
+    out = tmp_path / "rec.csv"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert capsys.readouterr() == ("", f"error: simulate config {cfg}: {message}\n")
+    assert code == EXIT_VALIDATION
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize(
     "header, line, position",
     [

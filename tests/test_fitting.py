@@ -60,6 +60,58 @@ def test_failure_carries_best_params(monkeypatch):
     assert len(excinfo.value.params) == 3
 
 
+def _exponential_problem(calls):
+    """Seeded noisy decay 2500 exp(-1.3 x); ``calls`` counts Jacobian evaluations."""
+    x = np.linspace(0.0, 3.0, 80)
+    y = 2.5e3 * np.exp(-1.3 * x) + np.random.default_rng(7).normal(0.0, 10.0, len(x))
+
+    def residual(p):
+        return p[0] * np.exp(p[1] * x) - y
+
+    def jacobian(p):
+        calls.append(p)
+        e = np.exp(p[1] * x)
+        return np.column_stack([e, p[0] * x * e])
+
+    return residual, jacobian
+
+
+# Exact trial counts and parameter bits, so a change to the loop's arithmetic or
+# exits shows. One Jacobian per accepted step plus one for the covariance: from
+# the first start every trial is accepted; from the second, 18 of 33 are rejected.
+# Both end on the small-step test, not the gradient test.
+@pytest.mark.parametrize(
+    "p0, n_iter, n_jacobians, params_hex",
+    [
+        ([2500.0, -1.3], 5, 6, ["0x1.384f0036fdc82p+11", "-0x1.4deb1fa1a93a4p+0"]),
+        ([1000.0, 2.0], 33, 16, ["0x1.384f0036fc35dp+11", "-0x1.4deb1fa1a5d6bp+0"]),
+    ],
+    ids=["all_accepted", "rejected_steps"],
+)
+def test_trial_count_and_params_are_pinned(p0, n_iter, n_jacobians, params_hex):
+    calls = []
+    residual, jacobian = _exponential_problem(calls)
+    res = fit_damped_least_squares(residual, jacobian, np.array(p0))
+    assert res.n_iter == n_iter
+    assert len(calls) == n_jacobians
+    assert [float.hex(float(v)) for v in res.params] == params_hex
+
+
+def test_damping_overflow_when_no_step_lowers_the_residual():
+    # The Jacobian points the wrong way, so every trial raises the residual:
+    # the damping grows tenfold from 1e-3 until it passes 1e15, at trial 19.
+    points = []
+
+    def residual(p):
+        points.append(p)
+        return np.array([1.0 + abs(p[0])])
+
+    with pytest.raises(FitFailureError, match="damping factor overflow") as excinfo:
+        fit_damped_least_squares(residual, lambda p: np.array([[-1.0]]), np.zeros(1))
+    assert len(points) == 1 + 19  # the start and 19 trials
+    assert excinfo.value.params.tolist() == [0.0]
+
+
 def test_nonfinite_start_rejected():
     residual, jacobian = _quadratic_problem(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(FitFailureError):

@@ -460,6 +460,15 @@ def test_subtract_and_reduction_ratio_match_reference_at_block_edges(n, phase):
         assert reduction_ratio(rec, cal, 10.0) == pytest.approx(top_amp / residual_amp, rel=1e-10)
 
 
+# At n = 131 073 the last block holds one bin. At these seeds an in-place
+# product rounded that bin differently from the full-length reference.
+@pytest.mark.parametrize("seed", [13, 19])
+def test_subtract_matches_reference_when_the_last_block_holds_one_bin(seed):
+    rec = tone_record(n=2 * 65536 + 1, bottom_gain=0.97, noise=1e-14, seed=seed)
+    cal = GradCalibration(1.03, F1, F2, tone_freq_hz=10.0)
+    assert subtract(rec, cal).tobytes() == _reference_subtract(rec, cal).tobytes()
+
+
 def _traced_peak(func):
     tracemalloc.start()
     try:

@@ -175,6 +175,29 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SimConfig(FS, 10.0, f1_hz=-5.0)
 
+    # Before, a NaN corner was read as no corner and a NaN ASD as a valid one,
+    # and an infinite duration raised OverflowError from n_samples.
+    @pytest.mark.parametrize("name, value", [
+        ("common_asd_t_sqrthz", math.nan),
+        ("gradient_asd_t_sqrthz", math.inf),
+        ("sensor_asd_t_sqrthz", (1e-15, math.nan)),
+        ("one_over_f_corner_hz", math.nan),
+    ], ids=["nan_common", "inf_gradient", "nan_sensor", "nan_corner"])
+    def test_non_finite_noise_rejected_by_name(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite, got "):
+            NoiseModel(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("sample_rate_hz", math.nan),
+        ("duration_s", math.inf),
+        ("f2_hz", math.inf),
+        ("channel_gains", (1.0, -math.inf)),
+        ("tones", ((10.0, math.nan, 0.0),)),
+    ], ids=["nan_rate", "inf_duration", "inf_f2", "inf_gain", "nan_tone"])
+    def test_non_finite_config_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got "):
+            SimConfig(**{"sample_rate_hz": FS, "duration_s": 10.0, name: value})
+
 
 def _reference_record(cfg):
     """simulate_record written with plain full-length expressions, for bit-exact checks.

@@ -76,6 +76,17 @@ MUTANTS = {
         "    if scale < sys.float_info.min:",
         "    if False:",
     ),
+    # An in-place product rounds a one-bin last block differently from the reference.
+    "corrected_multiplies_in_place": (
+        "gradiometer.py",
+        "    return correction * bins",
+        "    return np.multiply(correction, bins, out=bins)",
+    ),
+    "fit_never_converges_on_a_small_step": (
+        "fitting.py",
+        "        if np.linalg.norm(step) <= STEP_TOL * (STEP_TOL + np.linalg.norm(p)):",
+        "        if False:",
+    ),
     # The calibration's checks moved below the read and the tone gate.
     "calibrate_validates_after_the_read": (
         "cli.py",
