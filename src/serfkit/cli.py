@@ -6,6 +6,9 @@ file is written atomically and accompanied by a ``<output>.manifest.json``
 recording the command, input hashes, seed and tool version.
 
 Exit codes: 0 success, 2 validation error, 3 fit failure, 64 usage error.
+
+Parsing needs no numeric module, so each handler imports the serfkit modules
+it runs, and a command loads only those.
 """
 
 from __future__ import annotations
@@ -20,15 +23,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, dataio, demo, noisepsd, serf
-from .cellchem import GasCoefficients, solve_composition
+from . import __version__, constants
 from .errors import FitFailureError, InvalidParameterError, ValidationError
-from .gradiometer import GradCalibration, amplitude_ratio, fit_phase_model, subtract
-from .lineshape import fit_lorentzian, fit_response_curve
-from .nmrsignal import SampleSpec, dipole_field, load_isotopes, thermal_polarization
-from .noisepsd import band_floor, calibrate_tesla, welch_asd
-from .serf import fit_tse, number_density
-from .simulator import SimConfig, simulate_record
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -64,6 +60,8 @@ def _pair(name: str, form: str):
 
 def _write_manifest(out_path, command: str, params: dict, inputs, seed) -> None:
     """``inputs`` are ``{"path", "sha256"}`` entries, hashed before the output was written."""
+    from . import dataio
+
     hashed = {
         "command": command,
         "params": params,
@@ -102,6 +100,8 @@ def _finish(args, result: dict, write=None, seed=None) -> int:
     as JSON. The manifest's ``params`` are every parsed option except the
     input and output paths, which it records by hash or not at all.
     """
+    from . import dataio
+
     if args.out:
         # Hashed first: ``--out`` may name an input, which the write replaces.
         paths = [getattr(args, name) for name in _INPUT_ARGS if getattr(args, name, None)]
@@ -116,6 +116,9 @@ def _finish(args, result: dict, write=None, seed=None) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import dataio
+    from .simulator import SimConfig, simulate_record
+
     raw = dataio.read_json(args.config)
     cfg = dataio._from_json(SimConfig, raw, f"simulate config {args.config}")
     if args.seed is not None:  # applied after the read, so a bad seed is not blamed on the file
@@ -130,11 +133,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit_sweep(args) -> int:
-    fit = args.fit(dataio.read_sweep_csv(args.in_path))
+    from . import dataio, lineshape
+
+    fit = getattr(lineshape, args.fit)(dataio.read_sweep_csv(args.in_path))
     return _finish(args, fit.as_dict())
 
 
 def _cmd_gas_solve(args) -> int:
+    from . import dataio
+    from .cellchem import GasCoefficients, solve_composition
+
     coeffs = None
     if args.config:
         raw = dataio.read_json(args.config)
@@ -144,6 +152,9 @@ def _cmd_gas_solve(args) -> int:
 
 
 def _cmd_fit_serf(args) -> int:
+    from . import dataio
+    from .serf import fit_tse, number_density
+
     points = dataio.read_linewidth_points_csv(args.in_path)
     fit = fit_tse(
         points,
@@ -160,6 +171,8 @@ def _cmd_fit_serf(args) -> int:
 
 
 def _load_series(path, channel: str) -> tuple[float, np.ndarray]:
+    from . import dataio
+
     # Accepts two-channel records and the single-channel output of subtract.
     header = dataio.csv_header(path)
     if header[:2] == ["t_s", "value_t"]:
@@ -173,6 +186,9 @@ def _load_series(path, channel: str) -> tuple[float, np.ndarray]:
 
 
 def _cmd_psd(args) -> int:
+    from . import dataio
+    from .noisepsd import band_floor, calibrate_tesla, welch_asd
+
     rate, series = _load_series(args.in_path, args.channel)
     psd = welch_asd(series, rate, args.segment_len, args.overlap)
     result = {"out": os.fspath(args.out), "n_averages": psd.n_averages}
@@ -211,6 +227,9 @@ def _warn_slow_fft_length(n: int) -> None:
 
 
 def _cmd_calibrate(args) -> int:
+    from . import dataio
+    from .gradiometer import GradCalibration, amplitude_ratio, fit_phase_model
+
     # Every flag is checked before the record is read and its tone gated.
     if not args.phase_points and (args.f1 is None or args.f2 is None):
         raise InvalidParameterError("provide either --phase-points or both --f1 and --f2")
@@ -230,6 +249,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_subtract(args) -> int:
+    from . import dataio
+    from .gradiometer import subtract
+
     record = dataio.read_record_csv(args.in_path)
     cal = dataio.read_calibration_json(args.cal)
     _warn_slow_fft_length(len(record))
@@ -245,6 +267,9 @@ def _cmd_subtract(args) -> int:
 
 
 def _cmd_phase_fit(args) -> int:
+    from . import dataio
+    from .gradiometer import fit_phase_model
+
     fit = fit_phase_model(dataio.read_phase_points_csv(args.in_path))
     return _finish(args, {"f1_hz": fit.f1_hz, "f2_hz": fit.f2_hz})
 
@@ -256,6 +281,9 @@ _SAMPLE_DEFAULTS = {"isotope": "1H", "volume_ul": 200.0, "spin_density": 6.7e28,
 
 
 def _sample_from_args(args) -> SampleSpec:
+    from . import dataio
+    from .nmrsignal import SampleSpec, load_isotopes
+
     given = [name for name in _SAMPLE_DEFAULTS if getattr(args, name) is not None]
     if args.config and given:
         flags = ", ".join("--" + name.replace("_", "-") for name in given)
@@ -284,6 +312,8 @@ def _sample_from_args(args) -> SampleSpec:
 
 
 def _cmd_nmr_estimate(args) -> int:
+    from .nmrsignal import dipole_field, thermal_polarization
+
     sample = _sample_from_args(args)
     result = {
         "polarization": thermal_polarization(
@@ -296,6 +326,8 @@ def _cmd_nmr_estimate(args) -> int:
 
 
 def _cmd_demo_paper(args) -> int:
+    from . import dataio, demo
+
     results = demo.run_demo(args.seed)
     print(demo.summary_table(results))
     out_dir = args.out_dir
@@ -330,8 +362,8 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_simulate)
 
     for name, fit, help_text in (
-        ("fit-absorption", fit_lorentzian, "fit a Lorentzian to an absorption sweep"),
-        ("fit-response", fit_response_curve, "fit the resonance response curve"),
+        ("fit-absorption", "fit_lorentzian", "fit a Lorentzian to an absorption sweep"),
+        ("fit-response", "fit_response_curve", "fit the resonance response curve"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--in", dest="in_path", required=True, help="sweep CSV (freq_hz,value)")
@@ -349,17 +381,17 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--in", dest="in_path", required=True, help="points CSV (resonance_hz,hwhm_hz[,weight])"
     )
-    p.add_argument("--nuclear-spin", type=float, default=serf.DEFAULT_NUCLEAR_SPIN)
-    p.add_argument("--slowing-q", type=float, default=serf.DEFAULT_SLOWING_Q)
+    p.add_argument("--nuclear-spin", type=float, default=constants.DEFAULT_NUCLEAR_SPIN)
+    p.add_argument("--slowing-q", type=float, default=constants.DEFAULT_SLOWING_Q)
     p.add_argument(
         "--intrinsic",
         type=float,
         default=None,
         help="hold the zero-field linewidth fixed at this value instead of co-fitting",
     )
-    p.add_argument("--vbar", type=float, default=serf.DEFAULT_VBAR_M_S,
+    p.add_argument("--vbar", type=float, default=constants.DEFAULT_VBAR_M_S,
                    help="relative thermal velocity m/s")
-    p.add_argument("--sigma-se", type=float, default=serf.DEFAULT_SIGMA_SE_CM2,
+    p.add_argument("--sigma-se", type=float, default=constants.DEFAULT_SIGMA_SE_CM2,
                    help="spin-exchange cross section cm^2")
     p.add_argument("--out", required=True, help="fit result JSON")
     p.set_defaults(handler=_cmd_fit_serf)
@@ -373,8 +405,8 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--channel", choices=("top", "bottom"), default="top",
                    help="channel to use when the input is a two-channel record")
-    p.add_argument("--segment-len", type=int, default=noisepsd.DEFAULT_SEGMENT_LEN)
-    p.add_argument("--overlap", type=float, default=noisepsd.DEFAULT_OVERLAP)
+    p.add_argument("--segment-len", type=int, default=constants.DEFAULT_SEGMENT_LEN)
+    p.add_argument("--overlap", type=float, default=constants.DEFAULT_OVERLAP)
     p.add_argument(
         "--calibrate-tone",
         type=_pair("tone", "freq_hz:amp_t"),

@@ -8,6 +8,9 @@ memory beyond the columns themselves.
 A CSV body is parsed by ``np.loadtxt`` in one call. Any input it rejects, or
 parses to the wrong number of columns, goes through the row parser, which
 accepts what Python's ``float`` accepts and reports errors as ``path:line``.
+
+Each reader imports the one type it builds when it is called, so that a
+command loads only the numeric modules it runs.
 """
 
 from __future__ import annotations
@@ -24,15 +27,18 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, ValidationError
-from .gradiometer import GradCalibration, PhasePoint
-from .lineshape import FrequencySweep
-from .noisepsd import PsdEstimate
-from .records import TwoChannelRecord
-from .serf import LinewidthPoint
-from .simulator import NoiseModel
 
 # Rows formatted per write by ``_write_csv``; bounds its extra memory.
 _WRITE_BLOCK_ROWS = 4096
+
+
+@contextmanager
+def _naming(path):
+    """Re-raise an ``OSError`` with ``path`` as its file name."""
+    try:
+        yield
+    except OSError as err:
+        raise type(err)(err.errno, err.strerror, path) from None
 
 
 @contextmanager
@@ -40,14 +46,17 @@ def _atomic_file(path):
     """Text handle on a same-directory temp file, renamed over ``path`` on success.
 
     On any error the temp file is removed, so there are no partial outputs.
+    An error creating or renaming the temp file names ``path`` instead.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    with _naming(path):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        os.replace(tmp, path)
+        with _naming(path):
+            os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -92,12 +101,18 @@ def _floats(value, n: int) -> tuple[float, ...]:
     return out
 
 
+def _noise_model(value):
+    from .simulator import NoiseModel
+
+    return _from_json(NoiseModel, value, "noise")
+
+
 # JSON values are read by ``_number`` unless their field is listed here.
 _CONVERTERS = {
     "seed": lambda value: _number(value, int),
     "channel_gains": lambda value: _floats(value, 2),
     "tones": lambda value: tuple(_floats(tone, 3) for tone in value),
-    "noise": lambda value: _from_json(NoiseModel, value, "noise"),
+    "noise": _noise_model,
     "sensor_asd_t_sqrthz": lambda value: (
         _floats(value, 2) if isinstance(value, list) else _number(value)
     ),
@@ -250,6 +265,8 @@ def _sample_rate(path, t: np.ndarray) -> float:
 
 
 def read_sweep_csv(path) -> FrequencySweep:
+    from .lineshape import FrequencySweep
+
     data = _read_csv(path, ("freq_hz", "value"))
     return FrequencySweep(freqs_hz=data[:, 0], values=data[:, 1])
 
@@ -261,6 +278,8 @@ def write_record_csv(path, record: TwoChannelRecord) -> None:
 
 
 def read_record_csv(path) -> TwoChannelRecord:
+    from .records import TwoChannelRecord
+
     data = _read_csv(path, ("t_s", "top_t", "bottom_t"))
     rate = _sample_rate(path, data[:, 0])
     return TwoChannelRecord(sample_rate_hz=rate, top_t=data[:, 1], bottom_t=data[:, 2])
@@ -313,11 +332,15 @@ def _points(path, cls, rows: np.ndarray) -> list:
 
 
 def read_linewidth_points_csv(path) -> list[LinewidthPoint]:
+    from .serf import LinewidthPoint
+
     rows = _read_csv(path, ("resonance_hz", "hwhm_hz", "weight"), optional=1)
     return _points(path, LinewidthPoint, rows)
 
 
 def read_phase_points_csv(path) -> list[PhasePoint]:
+    from .gradiometer import PhasePoint
+
     return _points(path, PhasePoint, _read_csv(path, ("freq_hz", "phase_rad")))
 
 
@@ -330,4 +353,6 @@ def write_calibration_json(path, cal: GradCalibration) -> None:
 
 
 def read_calibration_json(path) -> GradCalibration:
+    from .gradiometer import GradCalibration
+
     return _from_json(GradCalibration, read_json(path), f"calibration {path}")

@@ -70,7 +70,8 @@ def fit_damped_least_squares(
     r = residual_fn(p)
     if not np.all(np.isfinite(r)):
         raise FitFailureError("residuals not finite at the starting point", params=p)
-    ssr = float(r @ r)
+    with np.errstate(over="ignore"):  # finite residuals may square past the float range
+        ssr = float(r @ r)
     lam = DAMPING_START
     trials = 0
 
@@ -97,7 +98,8 @@ def fit_damped_least_squares(
             if step is not None and np.all(np.isfinite(step)):
                 p_try = p + step
                 r_try = residual_fn(p_try)
-                ssr_try = float(r_try @ r_try)
+                with np.errstate(over="ignore"):  # an infinite sum is rejected below
+                    ssr_try = float(r_try @ r_try)
                 if np.isfinite(ssr_try) and ssr_try <= ssr:
                     break
             lam *= DAMPING_GROW

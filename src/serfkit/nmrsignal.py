@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -36,6 +36,9 @@ class SampleSpec:
     distance_m: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise InvalidParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         positive = {
             "volume_m3": self.volume_m3,
             "spin_density_per_m3": self.spin_density_per_m3,
@@ -131,8 +134,7 @@ def load_isotopes() -> dict[str, Isotope]:
     ``SERFKIT_DATA_DIR`` names a directory whose ``isotopes.json`` is read
     instead. Entries are checked like configs.
     """
-    # Imported here so that ``import serfkit.nmrsignal`` does not load
-    # ``dataio`` and every module it imports.
+    # Imported here so that ``import serfkit.nmrsignal`` does not load ``dataio``.
     from .dataio import _from_json, _parse_json
 
     override = os.environ.get(DATA_DIR_ENV)

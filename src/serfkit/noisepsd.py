@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .constants import DEFAULT_OVERLAP, DEFAULT_SEGMENT_LEN
 from .errors import (
     InsufficientBandError,
     InsufficientDataError,
@@ -21,8 +22,6 @@ from .errors import (
     MissingToneError,
 )
 
-DEFAULT_SEGMENT_LEN = 4096
-DEFAULT_OVERLAP = 0.5
 MIN_SEGMENT_LEN = 64
 
 # Tone handling, shared with the gradiometer: search and integration

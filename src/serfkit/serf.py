@@ -19,16 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import (DEFAULT_NUCLEAR_SPIN, DEFAULT_SIGMA_SE_CM2, DEFAULT_SLOWING_Q,
+                        DEFAULT_VBAR_M_S)
 from .errors import FitFailureError, InvalidParameterError, InvalidSlowingFactorError
 from .fitting import fit_weighted_linear
 
 TWO_PI = 2.0 * np.pi
-
-# Low-polarization defaults for potassium (I = 3/2).
-DEFAULT_NUCLEAR_SPIN = 1.5
-DEFAULT_SLOWING_Q = 6.0
-DEFAULT_VBAR_M_S = 500.0
-DEFAULT_SIGMA_SE_CM2 = 2e-14
 
 
 @dataclass(frozen=True)

@@ -932,14 +932,41 @@ def test_fit_serf_bad_spin_or_slowing_factor_exits_2(capsys, tmp_path, option, m
         (["--distance-m", "1e103"], "dipole field at 1e+103 m is out of float range"),
         (["--temperature-k", "1e-320"],
          "thermal polarization at 9.99989e-321 K is out of float range"),
+        (["--temperature-k", "inf"], "temperature_k must be finite, got inf"),
+        (["--temperature-k", "nan"], "temperature_k must be finite, got nan"),
+        (["--prepol-t", "inf"], "prepol_field_t must be finite, got inf"),
+        (["--distance-m", "inf"], "distance_m must be finite, got inf"),
+        (["--volume-ul=-inf"], "volume_m3 must be finite, got -inf"),
     ],
-    ids=["distance_cubed_overflows", "temperature_underflows"],
+    ids=["distance_cubed_overflows", "temperature_underflows", "inf_temperature",
+         "nan_temperature", "inf_prepol", "inf_distance", "-inf_volume"],
 )
 def test_nmr_estimate_out_of_float_range_exits_2(capsys, tmp_path, option, message):
     out = tmp_path / "est.json"
     assert main(["nmr-estimate", *option, "--out", str(out)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["missing_directory", "existing_directory"])
+def test_uncreatable_output_names_the_given_path(capsys, tmp_path, kind):
+    # The temp file beside the output cannot be made, or cannot replace it.
+    rec = _tone_record_csv(tmp_path)
+    out = tmp_path / "psd.csv"
+    if kind == "missing_directory":
+        out = tmp_path / "missing" / "psd.csv"
+    else:
+        out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["psd", "--in", str(rec), "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"'{out}'" in captured.err
+    assert ".tmp-" not in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_manifest_hashes_the_input_that_the_output_replaces(tmp_path):

@@ -97,6 +97,32 @@ def test_trial_count_and_params_are_pinned(p0, n_iter, n_jacobians, params_hex):
     assert [float.hex(float(v)) for v in res.params] == params_hex
 
 
+def test_trial_whose_squares_overflow_is_rejected_without_a_warning():
+    # The exponent is clipped, so every residual is finite. The first trial,
+    # from the start [10, 3], reaches a decay rate near -10.8: its largest
+    # residual is about 2.5e304, and the sum of squares overflows to inf.
+    # pyproject.toml's error::RuntimeWarning filter turns a leaked overflow
+    # warning into a failure.
+    x = np.linspace(0.0, 300.0, 100)
+    y = 2.5 * np.exp(-1.3 * x) + np.random.default_rng(0).normal(0.0, 0.01, len(x))
+    largest = []
+
+    def residual(p):
+        r = p[0] * np.exp(np.minimum(-p[1] * x, 700.0)) - y
+        largest.append(np.abs(r).max())
+        return r
+
+    def jacobian(p):
+        e = np.exp(np.minimum(-p[1] * x, 700.0))
+        return np.column_stack([e, -p[0] * x * e])
+
+    res = fit_damped_least_squares(residual, jacobian, np.array([10.0, 3.0]))
+    assert 1e300 < largest[1] < np.inf  # its square overflows
+    assert res.n_iter == 13
+    assert [float.hex(float(v)) for v in res.params] == [
+        "0x1.40291f5948df4p+1", "0x1.4ebad1e605776p+0"]
+
+
 def test_damping_overflow_when_no_step_lowers_the_residual():
     # The Jacobian points the wrong way, so every trial raises the residual:
     # the damping grows tenfold from 1e-3 until it passes 1e15, at trial 19.

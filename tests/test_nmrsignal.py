@@ -93,6 +93,15 @@ class TestDipoleField:
         with pytest.raises(InvalidParameterError):
             water_spec(natural_abundance=0.0)
 
+    @pytest.mark.parametrize(
+        "field", ["volume_m3", "spin_density_per_m3", "natural_abundance", "gyromag_rad_s_t",
+                  "spin", "prepol_field_t", "temperature_k", "distance_m"],
+    )
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_nonfinite_field_rejected_by_name(self, field, value):
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be finite, got {value}$"):
+            water_spec(**{field: value})
+
     def test_negative_gamma_isotope_gives_positive_field(self):
         # gamma < 0 flips both the polarization and the moment sign.
         field = dipole_field(water_spec(gyromag_rad_s_t=-2.7126e7))

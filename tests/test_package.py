@@ -1,4 +1,8 @@
-"""``import serfkit`` loads nothing, yet ``serfkit.X`` resolves every exported name."""
+"""``import serfkit`` loads nothing, yet ``serfkit.X`` resolves every exported name.
+
+``import serfkit.cli`` loads no numeric module, and a command loads only the
+modules it runs.
+"""
 
 import json
 import os
@@ -84,3 +88,59 @@ def test_unknown_name_raises_attribute_error(seen):
 def test_deleted_forward_model_is_not_exported():
     with pytest.raises(AttributeError):
         serfkit.predict_shift_width
+
+
+# Imports the CLI in a fresh interpreter, runs one command, and prints the
+# serfkit modules loaded after each step as the last line of its output.
+CLI_PROBE = """
+import json, sys
+import serfkit.cli
+imported = sorted(m for m in sys.modules if m.startswith("serfkit"))
+code = serfkit.cli.main(sys.argv[1:])
+ran = sorted(m for m in sys.modules if m.startswith("serfkit"))
+print(json.dumps({"imported": imported, "code": code, "ran": ran}))
+"""
+
+
+def _probe_cli(cwd, *argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(serfkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_PROBE, *argv],
+        cwd=cwd, capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["code"] == 0, proc.stderr
+    return seen
+
+
+@pytest.fixture(scope="module")
+def commands(tmp_path_factory):
+    work = tmp_path_factory.mktemp("cli")
+    config = {"sample_rate_hz": 1000.0, "duration_s": 8.192, "tones": [[10.0, 16e-12, 0.0]]}
+    (work / "sim.json").write_text(json.dumps(config))
+    return {
+        "simulate": _probe_cli(work, "simulate", "--config", "sim.json", "--out", "rec.csv"),
+        "psd": _probe_cli(work, "psd", "--in", "rec.csv", "--out", "psd.csv"),
+    }
+
+
+def _loaded(names):
+    return {f"serfkit.{name}" for name in names.split()}
+
+
+def test_cli_import_loads_no_numeric_module(commands):
+    for seen in commands.values():
+        assert {"serfkit", "serfkit.cli", "serfkit.errors"} <= set(seen["imported"])
+        assert set(seen["imported"]) <= {"serfkit", *_loaded("cli errors constants")}
+
+
+def test_psd_loads_only_what_it_runs(commands):
+    ran = set(commands["psd"]["ran"])
+    assert _loaded("dataio records noisepsd") <= ran
+    assert not ran & _loaded("gradiometer fitting simulator lineshape serf cellchem nmrsignal demo")
+
+
+def test_simulate_loads_only_what_it_runs(commands):
+    ran = set(commands["simulate"]["ran"])
+    assert _loaded("dataio simulator") <= ran
+    assert not ran & _loaded("gradiometer noisepsd fitting")

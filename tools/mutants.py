@@ -93,6 +93,12 @@ MUTANTS = {
         _CAL_LINE + _READ_LINES,
         _READ_LINES + _CAL_LINE,
     ),
+    # Every command, even --help, would load dataio.
+    "cli_imports_dataio_at_module_level": (
+        "cli.py",
+        "from . import __version__, constants\n",
+        "from . import __version__, constants, dataio\n",
+    ),
 }
 
 
