@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -35,7 +36,15 @@ DIPOLE_MODEL_NAME = "on_axis_point_dipole_spin_half"
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits with the usage code on bad flags."""
+    """ArgumentParser that exits with the usage code on bad flags.
+
+    Any negative float, e.g. ``-1e-3`` or ``-inf``, is a value, not a flag.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

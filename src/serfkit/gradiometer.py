@@ -25,8 +25,8 @@ from .noisepsd import _hann_bins, _tone_bin, _tone_gate, _tone_span
 from .records import TwoChannelRecord
 
 _DEGENERATE_PHASE_RAD = 1e-9
-# Frequency bins per block when subtract builds its correction piecewise.
-_BLOCK = 65536
+# Bins per block of subtract's correction: few beside the two spectra it may hold.
+_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,11 @@ def _check_finite(value: float, record: TwoChannelRecord, what: str) -> None:
         raise InvalidParameterError(f"{what} overflows: record samples reach {peak:.3g} T")
 
 
+def _read_span(n: int, lo: int, hi: int) -> tuple[int, int]:
+    """The bins ``start..stop-1`` that ``_hann_bins(spectrum, n, lo, hi)`` reads."""
+    return max(0, lo - 1), min(n // 2 + 1, hi + 1)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
     """Top/bottom response ratio at the calibration tone.
@@ -167,6 +172,9 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
     at the top channel's tone bin (local peak within +-2 bins of nominal),
     so any common leakage factor cancels exactly. Only the bins around the
     tone are windowed, from one channel's spectrum at a time.
+
+    Once both tones pass, the channel spectra stay on the record for
+    ``subtract``, and their bins around the tone for ``reduction_ratio``.
 
     Raises
     ------
@@ -177,13 +185,19 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
     """
     n = len(record)
     nominal, lo, hi = _tone_span(n, record.sample_rate_hz, tone_freq_hz)
-    mag_top = _hann_bins(np.fft.rfft(record.top_t), n, lo, hi)
+    held = record._held.pop("spectra", None)
+    top = held[0] if held else np.fft.rfft(record.top_t)
+    mag_top = _hann_bins(top, n, lo, hi)
     _check_finite(mag_top.max(), record, "the top channel's spectrum")
     k = _tone_bin(mag_top, nominal - lo)
     _tone_gate(mag_top, k, tone_freq_hz, " in top channel")
-    mag_bottom = _hann_bins(np.fft.rfft(record.bottom_t), n, lo, hi)
+    bottom = held[1] if held else np.fft.rfft(record.bottom_t)
+    mag_bottom = _hann_bins(bottom, n, lo, hi)
     _check_finite(mag_bottom.max(), record, "the bottom channel's spectrum")
     _tone_gate(mag_bottom, k, tone_freq_hz, " in bottom channel")
+    start, stop = _read_span(n, lo, hi)
+    record._held[start, stop] = (top[start:stop].copy(), bottom[start:stop].copy())
+    record._held["spectra"] = (top, bottom)
     return float(mag_top[k] / mag_bottom[k])
 
 
@@ -215,13 +229,13 @@ def subtract(
 ) -> np.ndarray:
     """Gradiometric difference: top channel minus the calibrated bottom channel.
 
-    Both channels are transformed to the frequency domain; the bottom
+    Both channels are transformed to the frequency domain, or their spectra
+    taken from the record if ``amplitude_ratio`` left them there; the bottom
     spectrum is multiplied by the calibration amplitude ratio and, with
-    ``phase_correct``, rotated by the model phase difference at every
-    frequency along with the model magnitude dispersion (anchored so the
-    correction equals exactly the measured ratio at the calibration tone).
-    The corrected bottom spectrum is subtracted from the top and the result
-    transformed back to a real series.
+    ``phase_correct``, rotated by the model phase difference at every frequency
+    along with the model magnitude dispersion (anchored so the correction equals
+    exactly the measured ratio at the calibration tone). The corrected bottom
+    spectrum is subtracted from the top and the result transformed back.
 
     The DC bin is left uncorrected, so the output mean is exactly the
     difference of the channel means; the Nyquist bin receives no phase
@@ -234,13 +248,15 @@ def subtract(
     difference or a channel's spectrum overflows.
     """
     n = len(record)
-    bottom = np.fft.rfft(record.bottom_t)
+    # Spectra held by amplitude_ratio are taken, so that no other call sees them corrected.
+    top, bottom = record._held.pop("spectra", None) or (None, np.fft.rfft(record.bottom_t))
     n_bins = len(bottom)
     for start in range(0, n_bins, _BLOCK):
         bottom[start : start + _BLOCK] = _corrected(
             bottom[start : start + _BLOCK], cal, n, record.sample_rate_hz, start, phase_correct
         )
-    top = np.fft.rfft(record.top_t)
+    if top is None:
+        top = np.fft.rfft(record.top_t)
     top -= bottom
     del bottom
     difference = np.fft.irfft(top, n)
@@ -258,7 +274,8 @@ def reduction_ratio(record: TwoChannelRecord, cal: GradCalibration, tone_freq_hz
     one spectrum at a time. The residual's spectrum ``T - C*B`` is built
     only at the bins around the tone, from the two channel spectra and
     ``subtract``'s correction ``C``; it equals that of
-    ``subtract(record, cal)`` to rounding.
+    ``subtract(record, cal)`` to rounding. After ``amplitude_ratio`` at
+    the same tone, the bins it kept are read and nothing is transformed.
 
     Raises
     ------
@@ -269,20 +286,19 @@ def reduction_ratio(record: TwoChannelRecord, cal: GradCalibration, tone_freq_hz
     """
     n = len(record)
     nominal, lo, hi = _tone_span(n, record.sample_rate_hz, tone_freq_hz)
-    spectrum = np.fft.rfft(record.top_t)
-    mag = _hann_bins(spectrum, n, lo, hi)
+    start, stop = _read_span(n, lo, hi)
+    # _hann_bins on bins start.. of a spectrum: n - 2*start keeps the Nyquist mirror in place.
+    shifted = (n - 2 * start, lo - start, hi - start)
+    held = record._held.get((start, stop))
+    top_bins = held[0] if held else np.fft.rfft(record.top_t)[start:stop].copy()
+    mag = _hann_bins(top_bins, *shifted)
     _check_finite(mag.max(), record, "the top channel's spectrum")
     k = _tone_bin(mag, nominal - lo)
     _tone_gate(mag, k, tone_freq_hz, " in top channel")
     top_peak = mag[k]
-    # The bins _hann_bins reads; the bottom spectrum holds T - C*B there.
-    start, stop = max(0, lo - 1), min(n // 2 + 1, hi + 1)
-    top_bins = spectrum[start:stop].copy()
-    del spectrum
-    spectrum = np.fft.rfft(record.bottom_t)
-    spectrum[start:stop] = top_bins - _corrected(spectrum[start:stop], cal, n,
-                                                 record.sample_rate_hz, start)
-    mag = _hann_bins(spectrum, n, lo, hi)
+    bottom_bins = held[1] if held else np.fft.rfft(record.bottom_t)[start:stop].copy()
+    residual = top_bins - _corrected(bottom_bins, cal, n, record.sample_rate_hz, start)
+    mag = _hann_bins(residual, *shifted)
     _check_finite(mag.max(), record, "the residual's spectrum")
     residual_peak = mag[_tone_bin(mag, nominal - lo)]
     if residual_peak == 0.0:

@@ -743,15 +743,24 @@ def test_subtract_negative_tone_in_calibration_exits_2(capsys, tmp_path, field):
     assert not out.exists()
 
 
-def test_calibrate_negative_tone_amplitude_exits_2(capsys, tmp_path):
+def _check_negative_tone_amplitude_exits_2(capsys, tmp_path, amp):
     rec = _tone_record_csv(tmp_path)
     out = tmp_path / "cal.json"
-    code = main(["calibrate", "--in", str(rec), "--tone-freq", "10", "--tone-amp", "-3",
+    code = main(["calibrate", "--in", str(rec), "--tone-freq", "10", "--tone-amp", amp,
                  "--f1", "49.9", "--f2", "68.8", "--out", str(out)])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: tone_amp_t must not be negative (0 means no tone)\n"
     assert not out.exists()
     assert not (tmp_path / "cal.json.manifest.json").exists()
+
+
+def test_calibrate_negative_tone_amplitude_exits_2(capsys, tmp_path):
+    _check_negative_tone_amplitude_exits_2(capsys, tmp_path, "-3")
+
+
+def test_calibrate_negative_exponent_tone_amplitude_exits_2(capsys, tmp_path):
+    # An exponent form is a value too, not an unknown flag.
+    _check_negative_tone_amplitude_exits_2(capsys, tmp_path, "-1e-3")
 
 
 @pytest.mark.parametrize("flags, field", [
@@ -937,9 +946,10 @@ def test_fit_serf_bad_spin_or_slowing_factor_exits_2(capsys, tmp_path, option, m
         (["--prepol-t", "inf"], "prepol_field_t must be finite, got inf"),
         (["--distance-m", "inf"], "distance_m must be finite, got inf"),
         (["--volume-ul=-inf"], "volume_m3 must be finite, got -inf"),
+        (["--volume-ul", "-inf"], "volume_m3 must be finite, got -inf"),
     ],
     ids=["distance_cubed_overflows", "temperature_underflows", "inf_temperature",
-         "nan_temperature", "inf_prepol", "inf_distance", "-inf_volume"],
+         "nan_temperature", "inf_prepol", "inf_distance", "-inf_volume", "-inf_volume_apart"],
 )
 def test_nmr_estimate_out_of_float_range_exits_2(capsys, tmp_path, option, message):
     out = tmp_path / "est.json"

@@ -1,6 +1,12 @@
 """Gradiometer calibration and frequency-domain subtraction tests."""
 
+import collections
+import copy
+import dataclasses
 import math
+import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -438,8 +444,8 @@ def test_phase_fit_one_sigma_coverage():
     assert np.all(np.abs(within - expected) < bound)
 
 
-# 65 536-bin correction blocks: n = 131070 fills exactly one block, n = 131072
-# leaves the Nyquist bin alone in a second block, n = 131073 (odd) leaves a
+# 32 768-bin correction blocks: n = 131070 fills exactly two blocks, n = 131072
+# leaves the Nyquist bin alone in a third block, n = 131073 (odd) leaves a
 # bin that is not Nyquist alone there. Without phase correction only the DC
 # and Nyquist bins differ from the flat ratio, so the even n covers that case.
 @pytest.mark.parametrize("n, phase", [(2 * 65536 - 2, True), (2 * 65536, True),
@@ -479,16 +485,21 @@ def _traced_peak(func):
     return peak
 
 
-# 2**20 samples, so that one 65 536-bin block is small next to a channel.
+# 2**20 samples, so that one 32 768-bin block is small next to a channel.
 MEMORY_N = 2**20
 
 
 @pytest.fixture(scope="module")
-def memory_record():
+def memory_channels():
     rng = np.random.default_rng(11)
     tone = 16e-12 * np.sin(2 * np.pi * 10.0 * np.arange(MEMORY_N) / FS)
-    return TwoChannelRecord(FS, tone + rng.normal(0, 1e-14, MEMORY_N),
-                            0.97 * tone + rng.normal(0, 1e-14, MEMORY_N))
+    return tone + rng.normal(0, 1e-14, MEMORY_N), 0.97 * tone + rng.normal(0, 1e-14, MEMORY_N)
+
+
+@pytest.fixture
+def memory_record(memory_channels):
+    # A new record per test, so that no test finds spectra another left on it.
+    return TwoChannelRecord(FS, *memory_channels)
 
 
 def test_subtract_extra_memory_is_two_channels(memory_record):
@@ -508,8 +519,31 @@ def test_reduction_ratio_extra_memory_without_difference(memory_record):
 
 
 def test_amplitude_ratio_extra_memory(memory_record):
-    peak = _traced_peak(lambda: amplitude_ratio(memory_record, 10.0))
-    assert peak <= 1.25 * memory_record.top_t.nbytes
+    # Both channel spectra stay on the record until subtract takes them, so
+    # after subtract only its difference (and a few tone bins) is left.
+    amplitude_ratio(tone_record(), 10.0)  # loads what a first call imports
+    cal = GradCalibration(0.97, F1, F2, tone_freq_hz=10.0)
+    tracemalloc.start()
+    try:
+        amplitude_ratio(memory_record, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+        difference = subtract(memory_record, cal)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * memory_record.top_t.nbytes
+    assert current <= 1.05 * difference.nbytes
+
+
+def test_gradiometric_chain_extra_memory(memory_record):
+    # No more than subtract alone: the spectra amplitude_ratio keeps are the
+    # ones subtract would have made.
+    def chain():
+        cal = GradCalibration(amplitude_ratio(memory_record, 10.0), F1, F2, tone_freq_hz=10.0)
+        subtract(memory_record, cal)
+        reduction_ratio(memory_record, cal, 10.0)
+
+    assert _traced_peak(chain) <= 2.25 * memory_record.top_t.nbytes
 
 
 def test_reduction_ratio_extra_memory_for_a_new_length(memory_record):
@@ -519,3 +553,150 @@ def test_reduction_ratio_extra_memory_for_a_new_length(memory_record):
     cal = GradCalibration(0.97, F1, F2, tone_freq_hz=10.0)
     peak = _traced_peak(lambda: reduction_ratio(record, cal, 10.0))
     assert peak <= 1.25 * memory_record.top_t.nbytes
+
+
+def _count_transforms(monkeypatch):
+    """Counts of numpy.fft calls, by function name, from here on."""
+    calls = collections.Counter()
+    for name in np.fft.__all__:
+        if name.endswith(("fft", "fftn", "fft2")):
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _fresh(record):
+    """The same samples in a record that holds nothing."""
+    return TwoChannelRecord(record.sample_rate_hz, record.top_t, record.bottom_t)
+
+
+HAND_OVER_CAL = GradCalibration(0.97, F1, F2, tone_freq_hz=10.0, tone_amp_t=16e-12)
+
+
+# amplitude_ratio leaves both channel spectra on the record: subtract takes
+# them and reduction_ratio reads their bins at the tone. Before, the chain made
+# 6 rffts and 1 irfft. A call on a record that holds nothing transforms as before.
+@pytest.mark.parametrize("calls, expected", [
+    ("chain", {"rfft": 2, "irfft": 1}),
+    ("amplitude_ratio", {"rfft": 2}),
+    ("subtract", {"rfft": 2, "irfft": 1}),
+    ("reduction_ratio", {"rfft": 2}),
+])
+def test_transforms_per_gradiometer_call(monkeypatch, calls, expected):
+    rec = tone_record(n=8191, bottom_gain=0.97, noise=1e-14, seed=9)
+    counts = _count_transforms(monkeypatch)
+    if calls in ("chain", "amplitude_ratio"):
+        amplitude_ratio(rec, 10.0)
+    if calls in ("chain", "subtract"):
+        subtract(rec, HAND_OVER_CAL)
+    if calls in ("chain", "reduction_ratio"):
+        reduction_ratio(rec, HAND_OVER_CAL, 10.0)
+    assert dict(counts) == expected
+
+
+# n = 131 073 leaves one bin in subtract's last correction block.
+@pytest.mark.parametrize("phase", [True, False])
+@pytest.mark.parametrize("n", [8191, 60000, 2 * 65536 + 1])
+def test_chain_matches_calls_on_fresh_records_byte_for_byte(n, phase):
+    rec = tone_record(n=n, bottom_gain=0.97, noise=1e-14, seed=14)
+    ratio = amplitude_ratio(rec, 10.0)
+    assert ratio == amplitude_ratio(_fresh(rec), 10.0)
+    cal = GradCalibration(ratio, F1, F2, tone_freq_hz=10.0)
+    difference = subtract(rec, cal, phase_correct=phase)
+    assert difference.tobytes() == subtract(_fresh(rec), cal, phase_correct=phase).tobytes()
+    assert reduction_ratio(rec, cal, 10.0) == reduction_ratio(_fresh(rec), cal, 10.0)
+
+
+def test_subtract_twice_transforms_again(monkeypatch):
+    # The first subtract took and corrected the held spectra; the second finds none.
+    rec = tone_record(n=8191, bottom_gain=0.97, noise=1e-14, seed=9)
+    expected = subtract(_fresh(rec), HAND_OVER_CAL).tobytes()
+    amplitude_ratio(rec, 10.0)
+    counts = _count_transforms(monkeypatch)
+    assert subtract(rec, HAND_OVER_CAL).tobytes() == expected
+    assert dict(counts) == {"irfft": 1}
+    assert subtract(rec, HAND_OVER_CAL).tobytes() == expected
+    assert dict(counts) == {"rfft": 2, "irfft": 2}
+
+
+def test_amplitude_ratio_twice_transforms_once(monkeypatch):
+    rec = tone_record(n=8191, bottom_gain=0.97, noise=1e-14, seed=9)
+    expected = subtract(_fresh(rec), HAND_OVER_CAL).tobytes()
+    counts = _count_transforms(monkeypatch)
+    assert amplitude_ratio(rec, 10.0) == amplitude_ratio(rec, 10.0)
+    assert subtract(rec, HAND_OVER_CAL).tobytes() == expected
+    assert dict(counts) == {"rfft": 2, "irfft": 1}
+
+
+def test_held_tone_bins_serve_only_their_own_tone(monkeypatch):
+    a, b = tone_record(noise=1e-14, seed=15), tone_record(freq=35.0, amp=5e-12)
+    rec = TwoChannelRecord(FS, a.top_t + b.top_t, 0.97 * (a.bottom_t + b.bottom_t))
+    expected = {f: reduction_ratio(_fresh(rec), HAND_OVER_CAL, f) for f in (10.0, 35.0)}
+    ratio_35 = amplitude_ratio(_fresh(rec), 35.0)
+    amplitude_ratio(rec, 10.0)
+    counts = _count_transforms(monkeypatch)
+    # Nothing held at 35 Hz yet: both channels are transformed again.
+    assert reduction_ratio(rec, HAND_OVER_CAL, 35.0) == expected[35.0]
+    assert dict(counts) == {"rfft": 2}
+    # A second tone reads the held spectra, then both tones' bins are held.
+    assert amplitude_ratio(rec, 35.0) == ratio_35
+    for freq in (10.0, 35.0):
+        assert reduction_ratio(rec, HAND_OVER_CAL, freq) == expected[freq]
+    assert dict(counts) == {"rfft": 2}
+
+
+def test_copies_of_a_record_and_its_held_spectra(monkeypatch):
+    rec = tone_record(n=8191, bottom_gain=0.97, noise=1e-14, seed=9)
+    expected = subtract(_fresh(rec), HAND_OVER_CAL).tobytes()
+    amplitude_ratio(rec, 10.0)
+    # A shallow copy shares the held spectra; the others are new records.
+    copies = {"copy": copy.copy(rec), "deepcopy": copy.deepcopy(rec),
+              "replace": dataclasses.replace(rec), "pickle": pickle.loads(pickle.dumps(rec))}
+    counts = _count_transforms(monkeypatch)
+    for name, twin in copies.items():
+        assert not twin.top_t.flags.writeable and not twin.bottom_t.flags.writeable
+        assert subtract(twin, HAND_OVER_CAL).tobytes() == expected
+        assert counts.pop("rfft", 0) == (0 if name == "copy" else 2), name
+    assert subtract(rec, HAND_OVER_CAL).tobytes() == expected
+    assert counts["rfft"] == 2
+
+
+def test_record_channels_are_read_only():
+    top, bottom = np.zeros(64), np.ones(64)
+    rec = TwoChannelRecord(FS, top, bottom)
+    for channel in (rec.top_t, rec.bottom_t):
+        with pytest.raises(ValueError, match="read-only"):
+            channel[0] = 1.0
+    # The caller's own arrays stay writable.
+    top[0] = bottom[0] = 2.0
+
+
+def test_threads_sharing_a_record_get_the_lone_results():
+    # Each thread runs the chain on one shared record; a spectrum corrected by
+    # one call and read by another would change some result.
+    rec = tone_record(n=8191, bottom_gain=0.97, noise=1e-14, seed=9)
+    expected = (amplitude_ratio(_fresh(rec), 10.0),
+                subtract(_fresh(rec), HAND_OVER_CAL).tobytes(),
+                reduction_ratio(_fresh(rec), HAND_OVER_CAL, 10.0))
+    results = []
+
+    def chain():
+        for _ in range(25):
+            results.append((amplitude_ratio(rec, 10.0), subtract(rec, HAND_OVER_CAL).tobytes(),
+                            reduction_ratio(rec, HAND_OVER_CAL, 10.0)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=chain) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 100
+    assert all(result == expected for result in results)

@@ -11,7 +11,8 @@ survives. The unmutated copy runs first and must pass.
 
 Exit status: 0 when every mutant is killed, 1 when any survives, 2 when the
 unmutated suite fails or a mutant's text no longer occurs exactly once in
-its file. A full run takes a few minutes, so it is not part of tier 1 or CI.
+its file. A full run takes a few minutes; CI runs it as its own step after
+tier 1.
 """
 
 from __future__ import annotations
@@ -98,6 +99,18 @@ MUTANTS = {
         "cli.py",
         "from . import __version__, constants\n",
         "from . import __version__, constants, dataio\n",
+    ),
+    # A second subtract, or any later call, would find the corrected spectra.
+    "subtract_keeps_held_spectra": (
+        "gradiometer.py",
+        'record._held.pop("spectra", None) or (None,',
+        'record._held.get("spectra") or (None,',
+    ),
+    # The tone bins amplitude_ratio kept at one tone would be read at another.
+    "reduction_ratio_ignores_span": (
+        "gradiometer.py",
+        "    held = record._held.get((start, stop))\n",
+        '    held = next((v for key, v in record._held.items() if key != "spectra"), None)\n',
     ),
 }
 
