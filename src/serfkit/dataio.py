@@ -26,6 +26,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ._median import median
 from .errors import ConfigError, InvalidParameterError, ValidationError
 
 # Rows formatted per write by ``_write_csv``; bounds its extra memory.
@@ -252,14 +253,14 @@ def _sample_rate(path, t: np.ndarray) -> float:
     if t[-1] <= t[0]:
         raise InvalidParameterError(f"{path}: time column must be increasing")
     steps = np.diff(t)
-    median = float(np.median(steps))
+    median_step = float(median(steps))
     # A negated "within" test, so that NaN steps count as bad too.
-    bad = np.flatnonzero(~(np.abs(steps - median) <= 0.01 * median))
+    bad = np.flatnonzero(~(np.abs(steps - median_step) <= 0.01 * median_step))
     if len(bad):
         i = bad[0]
         raise InvalidParameterError(
             f"{path}: time column not uniformly sampled: step of {steps[i]:g} s "
-            f"after t = {t[i]:g} s, median step {median:g} s"
+            f"after t = {t[i]:g} s, median step {median_step:g} s"
         )
     return (len(t) - 1) / (t[-1] - t[0])
 

@@ -145,7 +145,8 @@ def fit_weighted_linear(design: np.ndarray, y: np.ndarray, weights=None):
     """Weighted linear least squares ``y ~ design @ beta``.
 
     Returns ``(beta, covariance)``. Weights are inverse variances; equal
-    weights when omitted.
+    weights when omitted. Raises FitFailureError when the residual sum of
+    squares leaves the float range.
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -156,5 +157,9 @@ def fit_weighted_linear(design: np.ndarray, y: np.ndarray, weights=None):
     aw = design * sw[:, None]
     yw = y * sw
     beta, *_ = np.linalg.lstsq(aw, yw, rcond=None)
-    resid = yw - aw @ beta
-    return beta, covariance_from_jacobian(aw, float(resid @ resid))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is rejected
+        resid = yw - aw @ beta
+        ssr = float(resid @ resid)
+    if not np.isfinite(ssr):
+        raise FitFailureError("residual sum of squares beyond the float range", params=beta)
+    return beta, covariance_from_jacobian(aw, ssr)

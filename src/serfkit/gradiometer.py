@@ -159,9 +159,10 @@ def _check_finite(value: float, record: TwoChannelRecord, what: str) -> None:
         raise InvalidParameterError(f"{what} overflows: record samples reach {peak:.3g} T")
 
 
-def _read_span(n: int, lo: int, hi: int) -> tuple[int, int]:
-    """The bins ``start..stop-1`` that ``_hann_bins(spectrum, n, lo, hi)`` reads."""
-    return max(0, lo - 1), min(n // 2 + 1, hi + 1)
+def _spectrum(record: TwoChannelRecord, channel: str) -> np.ndarray:
+    """A channel's rfft: taken off the record, so that no other call sees it changed, or made."""
+    held = record._held.pop(channel, None)
+    return np.fft.rfft(getattr(record, f"{channel}_t")) if held is None else held
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -184,20 +185,18 @@ def amplitude_ratio(record: TwoChannelRecord, tone_freq_hz: float) -> float:
         Samples so large that a channel's spectrum overflows.
     """
     n = len(record)
-    nominal, lo, hi = _tone_span(n, record.sample_rate_hz, tone_freq_hz)
-    held = record._held.pop("spectra", None)
-    top = held[0] if held else np.fft.rfft(record.top_t)
+    nominal, lo, hi, start, stop = _tone_span(n, record.sample_rate_hz, tone_freq_hz)
+    top = _spectrum(record, "top")
     mag_top = _hann_bins(top, n, lo, hi)
     _check_finite(mag_top.max(), record, "the top channel's spectrum")
     k = _tone_bin(mag_top, nominal - lo)
     _tone_gate(mag_top, k, tone_freq_hz, " in top channel")
-    bottom = held[1] if held else np.fft.rfft(record.bottom_t)
+    bottom = _spectrum(record, "bottom")
     mag_bottom = _hann_bins(bottom, n, lo, hi)
     _check_finite(mag_bottom.max(), record, "the bottom channel's spectrum")
     _tone_gate(mag_bottom, k, tone_freq_hz, " in bottom channel")
-    start, stop = _read_span(n, lo, hi)
     record._held[start, stop] = (top[start:stop].copy(), bottom[start:stop].copy())
-    record._held["spectra"] = (top, bottom)
+    record._held.update(top=top, bottom=bottom)
     return float(mag_top[k] / mag_bottom[k])
 
 
@@ -206,6 +205,7 @@ def _corrected(bins, cal: GradCalibration, n: int, sample_rate_hz: float, start:
     """``subtract``'s correction times ``bins``, bins ``start..`` of the bottom channel's rfft.
 
     Out of place: an in-place product can round a one-element block differently.
+    Raises InvalidParameterError where the model correction is not finite.
     """
     stop = start + len(bins)
     correction = np.full(len(bins), cal.amplitude_ratio, dtype=complex)
@@ -216,6 +216,13 @@ def _corrected(bins, cal: GradCalibration, n: int, sample_rate_hz: float, start:
         correction *= magnitude_ratio(freqs, cal.f1_hz, cal.f2_hz) / anchor
         rotation = 1j * phase_difference(freqs, cal.f1_hz, cal.f2_hz)
         correction *= np.exp(rotation, out=rotation)
+        finite = np.isfinite(correction)
+        if not finite.all():
+            raise InvalidParameterError(
+                f"calibration (f1 {cal.f1_hz:g} Hz, f2 {cal.f2_hz:g} Hz, tone"
+                f" {cal.tone_freq_hz:g} Hz) has a non-finite model correction at"
+                f" {freqs[finite.argmin()]:g} Hz"
+            )
     if start == 0:
         correction[0] = 1.0
     if stop == n // 2 + 1 and n % 2 == 0:
@@ -223,7 +230,7 @@ def _corrected(bins, cal: GradCalibration, n: int, sample_rate_hz: float, start:
     return correction * bins
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def subtract(
     record: TwoChannelRecord, cal: GradCalibration, phase_correct: bool = True
 ) -> np.ndarray:
@@ -245,18 +252,17 @@ def subtract(
     record channels.
 
     Raises InvalidParameterError when the samples are so large that the
-    difference or a channel's spectrum overflows.
+    difference or a channel's spectrum overflows, or when the calibration's
+    model correction is not finite at some bin.
     """
     n = len(record)
-    # Spectra held by amplitude_ratio are taken, so that no other call sees them corrected.
-    top, bottom = record._held.pop("spectra", None) or (None, np.fft.rfft(record.bottom_t))
+    bottom = _spectrum(record, "bottom")
     n_bins = len(bottom)
     for start in range(0, n_bins, _BLOCK):
         bottom[start : start + _BLOCK] = _corrected(
             bottom[start : start + _BLOCK], cal, n, record.sample_rate_hz, start, phase_correct
         )
-    if top is None:
-        top = np.fft.rfft(record.top_t)
+    top = _spectrum(record, "top")
     top -= bottom
     del bottom
     difference = np.fft.irfft(top, n)
@@ -264,7 +270,7 @@ def subtract(
     return difference
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def reduction_ratio(record: TwoChannelRecord, cal: GradCalibration, tone_freq_hz: float) -> float:
     """Tone amplitude in the top channel over its residual after subtraction.
 
@@ -282,23 +288,21 @@ def reduction_ratio(record: TwoChannelRecord, cal: GradCalibration, tone_freq_hz
     MissingToneError
         Tone not present in the input record.
     InvalidParameterError
-        Samples so large that a channel's spectrum or the residual overflows.
+        Samples so large that a channel's spectrum or the residual overflows,
+        or a calibration whose model correction is not finite at the tone bins.
     """
     n = len(record)
-    nominal, lo, hi = _tone_span(n, record.sample_rate_hz, tone_freq_hz)
-    start, stop = _read_span(n, lo, hi)
-    # _hann_bins on bins start.. of a spectrum: n - 2*start keeps the Nyquist mirror in place.
-    shifted = (n - 2 * start, lo - start, hi - start)
+    nominal, lo, hi, start, stop = _tone_span(n, record.sample_rate_hz, tone_freq_hz)
     held = record._held.get((start, stop))
     top_bins = held[0] if held else np.fft.rfft(record.top_t)[start:stop].copy()
-    mag = _hann_bins(top_bins, *shifted)
+    mag = _hann_bins(top_bins, n, lo, hi, start)
     _check_finite(mag.max(), record, "the top channel's spectrum")
     k = _tone_bin(mag, nominal - lo)
     _tone_gate(mag, k, tone_freq_hz, " in top channel")
     top_peak = mag[k]
     bottom_bins = held[1] if held else np.fft.rfft(record.bottom_t)[start:stop].copy()
     residual = top_bins - _corrected(bottom_bins, cal, n, record.sample_rate_hz, start)
-    mag = _hann_bins(residual, *shifted)
+    mag = _hann_bins(residual, n, lo, hi, start)
     _check_finite(mag.max(), record, "the residual's spectrum")
     residual_peak = mag[_tone_bin(mag, nominal - lo)]
     if residual_peak == 0.0:

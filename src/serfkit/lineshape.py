@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._median import median
 from .errors import (
     DegenerateDataError,
     FitFailureError,
@@ -136,7 +137,7 @@ def _seed(sweep: FrequencySweep, i_peak: int | None = None) -> np.ndarray:
     """
     freqs, vals = sweep.freqs_hz, sweep.values
     n_edge = max(1, int(len(vals) * _EDGE_FRACTION))
-    baseline = float(np.median(np.r_[vals[:n_edge], vals[-n_edge:]]))
+    baseline = float(median(np.r_[vals[:n_edge], vals[-n_edge:]]))
     dev = vals - baseline
     if i_peak is None:
         i_peak = int(np.argmax(np.abs(dev)))
@@ -146,7 +147,7 @@ def _seed(sweep: FrequencySweep, i_peak: int | None = None) -> np.ndarray:
     span = float(freqs[above].max() - freqs[above].min()) if np.any(above) else 0.0
     hwhm = 0.5 * span
     if hwhm <= 0.0:
-        hwhm = float(np.median(np.diff(freqs)))
+        hwhm = float(median(np.diff(freqs)))
     return np.array([center, hwhm, amplitude, baseline])
 
 

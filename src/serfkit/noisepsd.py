@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._median import median
 from .constants import DEFAULT_OVERLAP, DEFAULT_SEGMENT_LEN
 from .errors import (
     InsufficientBandError,
@@ -65,17 +66,17 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _hann_bins(spectrum: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
-    """``|rfft(x * hann_window(n))|`` at bins ``lo`` to ``hi - 1``, from ``spectrum = rfft(x)``.
+def _hann_bins(spectrum: np.ndarray, n: int, lo: int, hi: int, start: int = 0) -> np.ndarray:
+    """``|rfft(x * hann_window(n))|`` at bins ``lo`` to ``hi - 1``, from ``spectrum = rfft(x)[start:]``.
 
     The periodic Hann window is ``1/2 - e^{+i}/4 - e^{-i}/4`` in its phase,
     so its DFT is the exact three-bin kernel ``X[k]/2 - (X[k-1] + X[k+1])/4``
     (Harris 1978). Bins beyond DC and Nyquist are the conjugates of their
-    mirror bins. Only ``spectrum[lo - 1 : hi + 1]`` is read.
+    mirror bins. Only rfft bins ``max(0, lo - 1)`` to ``min(n // 2, hi)`` are read.
     """
     k = np.arange(lo - 1, hi + 1)
     mirrored = (k < 0) | (k > n // 2)
-    x = spectrum[np.where(k < 0, -k, np.where(mirrored, n - k, k))]
+    x = spectrum[np.where(k < 0, -k, np.where(mirrored, n - k, k)) - start]
     np.conjugate(x, out=x, where=mirrored)
     return np.abs(0.5 * x[1:-1] - 0.25 * (x[:-2] + x[2:]))
 
@@ -159,7 +160,8 @@ def _nominal_bin(n_bins: int, bin_width_hz: float, tone_freq_hz: float) -> int:
     """Bin nearest the tone, which must lie strictly inside a spectrum of ``n_bins`` bins."""
     if not math.isfinite(tone_freq_hz):
         raise InvalidParameterError(f"tone frequency must be finite, got {tone_freq_hz:g}")
-    nominal = int(round(tone_freq_hz / bin_width_hz))
+    # Clipped first: a huge frequency over a small bin width is an infinite bin.
+    nominal = int(round(min(max(tone_freq_hz / bin_width_hz, -1.0), n_bins)))
     if not (0 < nominal < n_bins - 1):
         raise MissingToneError(f"tone frequency {tone_freq_hz:g} Hz outside (0, Nyquist)")
     return nominal
@@ -172,16 +174,18 @@ def _tone_bin(spectrum: np.ndarray, nominal: int) -> int:
     return lo + int(np.argmax(spectrum[lo:hi]))
 
 
-def _tone_span(n: int, sample_rate_hz: float, tone_freq_hz: float) -> tuple[int, int, int]:
+def _tone_span(n: int, sample_rate_hz: float, tone_freq_hz: float) -> tuple[int, ...]:
     """Nominal tone bin of an ``n``-sample record, and the bins ``lo..hi-1`` a tone estimate reads.
 
     These are nominal +-(2 + 20), clipped to the spectrum: the peak search
-    and the gate's neighborhood around any peak it can find.
+    and the gate's neighborhood around any peak it can find. Also returned:
+    ``start, stop``, where rfft bins ``start..stop-1`` are those ``_hann_bins`` reads.
     """
     n_bins = n // 2 + 1
     nominal = _nominal_bin(n_bins, sample_rate_hz / n, tone_freq_hz)
     reach = TONE_SEARCH_BINS + TONE_NEIGHBORHOOD_BINS
-    return nominal, max(0, nominal - reach), min(n_bins, nominal + reach + 1)
+    lo, hi = max(0, nominal - reach), min(n_bins, nominal + reach + 1)
+    return nominal, lo, hi, max(0, lo - 1), min(n_bins, hi + 1)
 
 
 def _tone_gate(spectrum: np.ndarray, k: int, tone_freq_hz: float, where: str = "") -> float:
@@ -194,7 +198,7 @@ def _tone_gate(spectrum: np.ndarray, k: int, tone_freq_hz: float, where: str = "
     hi = min(len(spectrum), k + TONE_NEIGHBORHOOD_BINS + 1)
     skip = TONE_INTEGRATE_BINS
     neighborhood = np.r_[spectrum[lo : max(lo, k - skip)], spectrum[k + skip + 1 : hi]]
-    floor = float(np.median(neighborhood)) if len(neighborhood) else 0.0
+    floor = float(median(neighborhood)) if len(neighborhood) else 0.0
     peak = spectrum[k]
     if peak == 0.0 or (floor > 0.0 and peak / floor < TONE_MIN_SNR):
         snr = 0.0 if peak == 0.0 else peak / floor
@@ -277,12 +281,12 @@ def band_floor(psd: PsdEstimate, f_lo_hz: float, f_hi_hz: float) -> float:
     inner = (sel >= w) & (sel < len(asd) - w)
     if inner.any():
         windows = sliding_window_view(asd, 2 * w + 1)[sel[inner] - w]
-        local[inner] = np.median(windows, axis=1, overwrite_input=True)
+        local[inner] = median(windows, axis=1, overwrite_input=True)
     # Bins near either end of the spectrum keep their truncated window.
     for i in np.flatnonzero(~inner):
         k = sel[i]
-        local[i] = np.median(asd[max(0, k - w) : k + w + 1])
+        local[i] = median(asd[max(0, k - w) : k + w + 1])
     keep = sel[~(asd[sel] > TONE_MIN_SNR * local)]
     if not len(keep):
         raise InsufficientBandError("every bin in the band is tone-flagged")
-    return float(np.median(asd[keep]))
+    return float(median(asd[keep]))

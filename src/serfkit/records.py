@@ -26,7 +26,7 @@ class TwoChannelRecord:
         top.flags.writeable = bottom.flags.writeable = False
         object.__setattr__(self, "top_t", top)
         object.__setattr__(self, "bottom_t", bottom)
-        # Not a field: {"spectra": (top, bottom) rffts, (start, stop): their bins there}.
+        # Not a field: {"top"/"bottom": that channel's rfft, (start, stop): both rffts' bins there}.
         object.__setattr__(self, "_held", {})
         if not self.sample_rate_hz > 0:
             raise InvalidParameterError("sample_rate_hz must be positive")

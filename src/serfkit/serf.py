@@ -87,7 +87,8 @@ def se_broadening_factor(nuclear_spin_i: float, slowing_q: float) -> float:
     Raises
     ------
     InvalidParameterError
-        I is not a positive half-integer, or q is not finite and positive.
+        I is not a positive half-integer, q is not finite and positive, or
+        either is so large that the factor overflows.
     InvalidSlowingFactorError
         q is below 2I+1.
     """
@@ -98,7 +99,13 @@ def se_broadening_factor(nuclear_spin_i: float, slowing_q: float) -> float:
         )
     if not 0 < slowing_q < math.inf:
         raise InvalidParameterError(f"slowing_q must be finite and positive, got {slowing_q:g}")
-    factor = 0.5 * slowing_q**2 - 0.5 * (2.0 * nuclear_spin_i + 1.0) ** 2
+    try:
+        factor = 0.5 * slowing_q**2 - 0.5 * (2.0 * nuclear_spin_i + 1.0) ** 2
+    except OverflowError:
+        raise InvalidParameterError(
+            f"q={slowing_q:g} and I={nuclear_spin_i:g} put the broadening factor"
+            " beyond the float range"
+        ) from None
     if factor < 0:
         raise InvalidSlowingFactorError(
             f"slowing factor q={slowing_q:g} too small for I={nuclear_spin_i:g}"
@@ -141,6 +148,8 @@ def fit_tse(
         Fewer than 3 points, weights on some points but not all, resonance
         frequencies spanning less than a factor 2, or a held intrinsic width
         that is negative or not finite.
+    InvalidSlowingFactorError
+        q is 2I+1 or below, where the model has no spin-exchange broadening.
     FitFailureError
         If the fitted T_SE comes out nonpositive (data inconsistent with
         spin-exchange broadening).
@@ -160,6 +169,11 @@ def fit_tse(
         raise InvalidParameterError("intrinsic_hwhm_hz must be finite and nonnegative")
 
     factor = se_broadening_factor(nuclear_spin_i, slowing_q)
+    if factor == 0.0:
+        raise InvalidSlowingFactorError(
+            f"slowing factor q={slowing_q:g} for I={nuclear_spin_i:g} leaves no"
+            " spin-exchange broadening to fit T_SE from"
+        )
     x = nu**2
     cov = np.zeros((2, 2))
     if intrinsic_hwhm_hz is None:
@@ -173,7 +187,10 @@ def fit_tse(
         beta, cov_lin = fit_weighted_linear(design, hwhm - intrinsic_hwhm_hz, weights)
         slope = beta[0]
         intercept = intrinsic_hwhm_hz
-        cov[0, 0] = cov_lin[0, 0] / (TWO_PI * factor) ** 2
+        try:
+            cov[0, 0] = cov_lin[0, 0] / (TWO_PI * factor) ** 2
+        except OverflowError:  # the square of a huge factor: the variance underflows to 0
+            cov[0, 0] = 0.0
 
     t_se = slope / (TWO_PI * factor)
     if not t_se > 0:
@@ -192,7 +209,16 @@ def number_density(
     """Alkali number density in cm^-3 from the spin-exchange time.
 
     ``n = 1 / (T_SE * vbar * sigma_SE)`` with vbar converted to cm/s.
+    Raises InvalidParameterError unless all three are positive and ``n``
+    is finite and nonzero.
     """
     if not (t_se_s > 0 and vbar_m_s > 0 and sigma_se_cm2 > 0):
         raise InvalidParameterError("t_se, vbar and sigma_se must be positive")
-    return 1.0 / (t_se_s * vbar_m_s * 100.0 * sigma_se_cm2)
+    product = t_se_s * vbar_m_s * 100.0 * sigma_se_cm2
+    density = 1.0 / product if product else math.inf
+    if not 0.0 < density < math.inf:
+        raise InvalidParameterError(
+            f"number density for T_SE {t_se_s:g} s, vbar {vbar_m_s:g} m/s and sigma_se"
+            f" {sigma_se_cm2:g} cm^2 is out of float range"
+        )
+    return density

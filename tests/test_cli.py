@@ -704,9 +704,12 @@ def _tone_record_csv(tmp_path, n=8192):
           "--tone-amp", "nan"], "f1_hz must be finite, got inf"),
         (["psd", "--calibrate-tone", "10:inf"], "tone_amp_t must be finite and positive, got inf"),
         (["psd", "--calibrate-tone", "10:1e300"], "tesla scale 1e+300 T / 1.6e-11 T overflows"),
+        (["calibrate", "--tone-freq", "1e308", "--f1", "49.9", "--f2", "68.8"],
+         "tone frequency 1e+308 Hz outside (0, Nyquist)"),
+        (["psd", "--calibrate-tone", "1e308:1"], "tone frequency 1e+308 Hz outside (0, Nyquist)"),
     ],
     ids=["calibrate_nan_tone", "psd_nan_tone", "calibrate_inf_f1", "psd_inf_tone_amp",
-         "psd_tesla_scale_overflow"],
+         "psd_tesla_scale_overflow", "calibrate_huge_tone", "psd_huge_tone"],
 )
 def test_non_finite_tone_or_calibration_exits_2(capsys, tmp_path, command, message):
     rec = _tone_record_csv(tmp_path)
@@ -726,6 +729,25 @@ def test_subtract_non_finite_calibration_exits_2(capsys, tmp_path):
     code = main(["subtract", "--in", str(rec), "--cal", str(cal), "--out", str(out)])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: calibration {cal}: f1_hz must be finite, got inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make_cal", [
+    lambda rec, cal: dataio.write_json(cal, {**GOOD_CAL, "tone_freq_hz": 1e200}),
+    lambda rec, cal: main(["calibrate", "--in", str(rec), "--tone-freq", "10", "--f1", "1e-320",
+                           "--f2", "68.8", "--out", str(cal)]),
+], ids=["huge_tone_in_json", "calibrate_subnormal_f1"])
+def test_subtract_non_finite_model_correction_names_the_calibration(capsys, tmp_path, make_cal):
+    rec = _tone_record_csv(tmp_path)
+    cal = tmp_path / "cal.json"
+    assert make_cal(rec, cal) in (None, EXIT_OK)
+    capsys.readouterr()
+    out = tmp_path / "diff.csv"
+    code = main(["subtract", "--in", str(rec), "--cal", str(cal), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: calibration (f1 ") and err.count("\n") == 1
+    assert "non-finite model correction" in err
     assert not out.exists()
 
 
@@ -921,8 +943,13 @@ def test_fit_serf_non_finite_point_exits_2(capsys, tmp_path, body, message):
         (["--slowing-q", "-6"], "slowing_q must be finite and positive, got -6"),
         (["--slowing-q", "nan"], "slowing_q must be finite and positive, got nan"),
         (["--slowing-q", "inf"], "slowing_q must be finite and positive, got inf"),
+        (["--slowing-q", "1e300"],
+         "q=1e+300 and I=1.5 put the broadening factor beyond the float range"),
+        (["--nuclear-spin", "1e200"],
+         "q=6 and I=1e+200 put the broadening factor beyond the float range"),
     ],
-    ids=["spin_not_half_integer", "nan_spin", "negative_q", "nan_q", "inf_q"],
+    ids=["spin_not_half_integer", "nan_spin", "negative_q", "nan_q", "inf_q", "huge_q",
+         "huge_spin"],
 )
 def test_fit_serf_bad_spin_or_slowing_factor_exits_2(capsys, tmp_path, option, message):
     res = np.arange(20.0, 201.0, 20.0)
@@ -932,6 +959,34 @@ def test_fit_serf_bad_spin_or_slowing_factor_exits_2(capsys, tmp_path, option, m
     out = tmp_path / "serf.json"
     assert main(["fit-serf", "--in", str(path), *option, "--out", str(out)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, code, message",
+    [
+        (["--vbar", "5e-324"], EXIT_VALIDATION, "error: number density for T_SE 8.6e-06 s, vbar"
+         " 4.94066e-324 m/s and sigma_se 2e-14 cm^2 is out of float range"),
+        (["--sigma-se", "1e-310"], EXIT_VALIDATION, "error: number density for T_SE 8.6e-06 s,"
+         " vbar 500 m/s and sigma_se 1e-310 cm^2 is out of float range"),
+        (["--intrinsic", "1e308"], EXIT_FIT_FAILURE,
+         "fit failed: residual sum of squares beyond the float range"),
+        (["--intrinsic", "1.7976931348623157e308"], EXIT_FIT_FAILURE,
+         "fit failed: residual sum of squares beyond the float range"),
+        (["--slowing-q", "4"], EXIT_VALIDATION, "error: slowing factor q=4 for I=1.5 leaves no"
+         " spin-exchange broadening to fit T_SE from"),
+    ],
+    ids=["subnormal_vbar", "tiny_sigma_se", "huge_intrinsic", "largest_intrinsic",
+         "q_at_2i_plus_1"],
+)
+def test_fit_serf_result_beyond_float_range_exits_cleanly(capsys, tmp_path, option, code, message):
+    res = np.arange(20.0, 201.0, 20.0)
+    widths = 10.45 + 2 * math.pi * 10.0 * 8.6e-6 * res**2
+    path = tmp_path / "pts.csv"
+    path.write_text("resonance_hz,hwhm_hz\n" + "".join(f"{f},{w}\n" for f, w in zip(res, widths)))
+    out = tmp_path / "serf.json"
+    assert main(["fit-serf", "--in", str(path), *option, "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{message}\n"
     assert not out.exists()
 
 

@@ -170,6 +170,13 @@ def test_weighted_linear_recovers_exactly():
     assert cov == pytest.approx(np.zeros((2, 2)), abs=1e-20)
 
 
+def test_weighted_linear_rejects_an_overflowing_residual_sum():
+    x = np.linspace(1.0, 10.0, 10)
+    y = np.where(np.arange(10) % 2, 1e170, -1e170)
+    with pytest.raises(FitFailureError, match="residual sum of squares beyond the float range"):
+        fit_weighted_linear(x[:, None], y)
+
+
 def test_weighted_linear_downweights_outlier():
     x = np.linspace(0.0, 10.0, 11)
     design = np.column_stack([x, np.ones_like(x)])

@@ -294,6 +294,28 @@ def test_overflow_is_rejected_with_the_record_peak(k, ratio, call, what):
     assert str(excinfo.value).endswith(f"record samples reach {peak:.3g} T")
 
 
+@pytest.mark.parametrize(
+    "cal, where",
+    [
+        (GradCalibration(0.99, F1, F2, tone_freq_hz=1e200), "0 Hz"),
+        (GradCalibration(0.99, 1e-320, F2, tone_freq_hz=10.0), "0 Hz"),
+        (GradCalibration(0.99, F1, 1e-160), "0.12207 Hz"),
+    ],
+    ids=["huge_tone", "subnormal_f1", "tiny_f2"],
+)
+@pytest.mark.parametrize("call", [subtract, lambda rec, cal: reduction_ratio(rec, cal, 10.0)],
+                         ids=["subtract", "reduction_ratio"])
+def test_non_finite_model_correction_names_the_calibration(cal, where, call):
+    # An ordinary record: the fault is the calibration's, not the samples'.
+    rec = tone_record(noise=1e-14, seed=3)
+    with pytest.raises(InvalidParameterError, match=r"^calibration \(f1 ") as excinfo:
+        call(rec, cal)
+    message = str(excinfo.value)
+    assert "non-finite model correction" in message and "record samples" not in message
+    if call is subtract:
+        assert message.endswith(f"at {where}")
+
+
 def test_near_overflow_record_scales_exactly():
     # 2**1000 still fits: every result is the 2**0 one, scaled by the power of two.
     small, big = _scaled_demo_record(0), _scaled_demo_record(1000)

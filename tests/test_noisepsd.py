@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from serfkit._median import median
 from serfkit.errors import (
     InsufficientBandError,
     InsufficientDataError,
@@ -17,6 +18,7 @@ from serfkit.noisepsd import (
     TONE_NEIGHBORHOOD_BINS,
     PsdEstimate,
     _hann_bins,
+    _tone_span,
     band_floor,
     calibrate_tesla,
     hann_window,
@@ -236,6 +238,31 @@ def test_hann_bins_match_windowed_rfft(n):
     for lo, hi in ((0, 45), (n_bins - 45, n_bins), (0, n_bins)):
         got = _hann_bins(spectrum, n, lo, hi)
         assert np.max(np.abs(got - expected[lo:hi])) <= 1e-12 * expected.max()
+
+
+# Tone windows that reach DC, Nyquist or neither, for an odd and an even length.
+@pytest.mark.parametrize("n", [8191, 8192])
+@pytest.mark.parametrize("freq", [0.2, 3.0, 250.0, 499.8])
+def test_hann_bins_from_the_tone_window_alone(n, freq):
+    spectrum = np.fft.rfft(white_noise(n=n, seed=n))
+    _, lo, hi, start, stop = _tone_span(n, FS, freq)
+    window = spectrum[start:stop].copy()
+    expected = _hann_bins(spectrum, n, lo, hi)
+    assert _hann_bins(window, n, lo, hi, start).tobytes() == expected.tobytes()
+
+
+# np.median's lengths and NaN handling, on single series and on rows of
+# band_floor's 41-bin windows and of an even width.
+@pytest.mark.parametrize("shape", [1, 2, 3, 38, 41, 59999, 60000, (1000, 41), (1000, 40)])
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_median_equals_numpy_median(shape, with_nan):
+    a = np.random.default_rng(7).normal(0.0, 1.0, shape)
+    if with_nan:
+        a.flat[::97] = math.nan
+    got, expected = median(a), np.median(a, axis=-1)
+    assert got.shape == np.shape(expected)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert got[~np.isnan(got)].tobytes() == np.asarray(expected)[~np.isnan(expected)].tobytes()
 
 
 # A power of two rounds nothing, so every estimate scales exactly, in the

@@ -91,14 +91,16 @@ def test_deleted_forward_model_is_not_exported():
 
 
 # Imports the CLI in a fresh interpreter, runs one command, and prints the
-# serfkit modules loaded after each step as the last line of its output.
+# serfkit modules loaded after each step, and whether numpy.ma was loaded, as
+# the last line of its output.
 CLI_PROBE = """
 import json, sys
 import serfkit.cli
 imported = sorted(m for m in sys.modules if m.startswith("serfkit"))
 code = serfkit.cli.main(sys.argv[1:])
 ran = sorted(m for m in sys.modules if m.startswith("serfkit"))
-print(json.dumps({"imported": imported, "code": code, "ran": ran}))
+ma = "numpy.ma" in sys.modules
+print(json.dumps({"imported": imported, "code": code, "ran": ran, "numpy_ma": ma}))
 """
 
 
@@ -121,6 +123,10 @@ def commands(tmp_path_factory):
     return {
         "simulate": _probe_cli(work, "simulate", "--config", "sim.json", "--out", "rec.csv"),
         "psd": _probe_cli(work, "psd", "--in", "rec.csv", "--out", "psd.csv"),
+        "calibrate": _probe_cli(work, "calibrate", "--in", "rec.csv", "--tone-freq", "10",
+                                "--f1", "49.9", "--f2", "68.8", "--out", "cal.json"),
+        "subtract": _probe_cli(work, "subtract", "--in", "rec.csv", "--cal", "cal.json",
+                               "--out", "diff.csv"),
     }
 
 
@@ -144,3 +150,9 @@ def test_simulate_loads_only_what_it_runs(commands):
     ran = set(commands["simulate"]["ran"])
     assert _loaded("dataio simulator") <= ran
     assert not ran & _loaded("gradiometer noisepsd fitting")
+
+
+# np.median imports numpy.ma on first use; the CSV-reading stages use a median of their own.
+@pytest.mark.parametrize("command", ["psd", "calibrate", "subtract"])
+def test_csv_stages_load_no_numpy_ma(commands, command):
+    assert commands[command]["numpy_ma"] is False

@@ -9,6 +9,7 @@ from serfkit.errors import (
     FitFailureError,
     InvalidParameterError,
     InvalidSlowingFactorError,
+    ValidationError,
 )
 from serfkit.serf import (
     LinewidthPoint,
@@ -139,6 +140,19 @@ class TestFitTse:
         with pytest.raises(FitFailureError):
             fit_tse(points)
 
+    def test_huge_slowing_factor_with_held_intrinsic(self):
+        # (2*pi*factor)**2 overflows; the variance of T_SE underflows to 0 instead.
+        points = make_points(8.6e-6, 10.45, np.arange(20.0, 201.0, 20.0))
+        fit = fit_tse(points, slowing_q=1e77, intrinsic_hwhm_hz=0.0)
+        assert 0.0 < fit.t_se_s < 1e-150
+        assert fit.covariance[0, 0] == 0.0
+
+    def test_boundary_slowing_factor_rejected(self):
+        # At q = 2I+1 the model has no spin-exchange broadening, so no T_SE to fit.
+        points = make_points(8.6e-6, 10.45, np.arange(20.0, 201.0, 20.0))
+        with pytest.raises(InvalidSlowingFactorError, match="leaves no spin-exchange broadening"):
+            fit_tse(points, nuclear_spin_i=1.5, slowing_q=4.0)
+
 
 class TestNumberDensity:
     def test_reference_value(self):
@@ -152,6 +166,14 @@ class TestNumberDensity:
 
     def test_reciprocal_scaling(self):
         assert number_density(4.3e-6) == pytest.approx(2.0 * number_density(8.6e-6), rel=1e-14)
+
+    # A product that underflows to 0 or to a subnormal, or that overflows.
+    @pytest.mark.parametrize("t_se, vbar, sigma", [(8.6e-6, 5e-324, 2e-14),
+                                                   (8.6e-6, 1e-300, 2e-14),
+                                                   (8.6e-6, 1e308, 1e308)])
+    def test_density_beyond_float_range_rejected(self, t_se, vbar, sigma):
+        with pytest.raises(InvalidParameterError, match="is out of float range"):
+            number_density(t_se, vbar, sigma)
 
     def test_density_time_round_trip(self):
         n = 1.2e14
@@ -169,6 +191,12 @@ class TestParams:
     def test_bad_spin_rejected(self):
         with pytest.raises(InvalidParameterError):
             SerfParams(nuclear_spin_i=0.7)
+
+    # q**2 or (2I + 1)**2 beyond the float range.
+    @pytest.mark.parametrize("field, value", [("slowing_q", 1e300), ("nuclear_spin_i", 1e200)])
+    def test_factor_beyond_float_range_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="beyond the float range"):
+            SerfParams(**{field: value})
 
     def test_negative_tse_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -39,13 +39,13 @@ _READ_LINES = (
 MUTANTS = {
     "band_floor_x1e-3": (
         "noisepsd.py",
-        "    return float(np.median(asd[keep]))",
-        "    return float(np.median(asd[keep])) * 1e-3",
+        "    return float(median(asd[keep]))",
+        "    return float(median(asd[keep])) * 1e-3",
     ),
     "band_floor_x1.2": (
         "noisepsd.py",
-        "    return float(np.median(asd[keep]))",
-        "    return float(np.median(asd[keep])) * 1.2",
+        "    return float(median(asd[keep]))",
+        "    return float(median(asd[keep])) * 1.2",
     ),
     "amplitude_ratio_x1.01": (
         "gradiometer.py",
@@ -103,14 +103,26 @@ MUTANTS = {
     # A second subtract, or any later call, would find the corrected spectra.
     "subtract_keeps_held_spectra": (
         "gradiometer.py",
-        'record._held.pop("spectra", None) or (None,',
-        'record._held.get("spectra") or (None,',
+        "    held = record._held.pop(channel, None)\n",
+        "    held = record._held.get(channel)\n",
     ),
     # The tone bins amplitude_ratio kept at one tone would be read at another.
     "reduction_ratio_ignores_span": (
         "gradiometer.py",
         "    held = record._held.get((start, stop))\n",
-        '    held = next((v for key, v in record._held.items() if key != "spectra"), None)\n',
+        "    held = next((v for key, v in record._held.items() if isinstance(key, tuple)), None)\n",
+    ),
+    # reduction_ratio's tone window would be read as if it began at DC.
+    "hann_bins_ignores_start": (
+        "noisepsd.py",
+        "np.where(mirrored, n - k, k)) - start]",
+        "np.where(mirrored, n - k, k))]",
+    ),
+    # An even-length median would be its lower middle element, not the mean of both.
+    "median_takes_lower_middle": (
+        "_median.py",
+        "(part.take(half - 1, axis=axis) + upper) / 2",
+        "part.take(half - 1, axis=axis)",
     ),
 }
 
