@@ -8,7 +8,7 @@ and molecular-nitrogen quench gas, in GHz per amagat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,10 @@ class GasCoefficients:
     broaden_n2_ghz_per_amg: float = 21.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
+                raise InvalidCoefficientsError(f"{f.name} must be finite, got {value}")
         if not (self.broaden_he_ghz_per_amg > 0 and self.broaden_n2_ghz_per_amg > 0):
             raise InvalidCoefficientsError("broadening coefficients must be positive")
         if self.determinant == 0.0:
@@ -97,6 +101,9 @@ def solve_composition(
         he, n2 = np.linalg.solve(coeffs.matrix, [shift_ghz, width_ghz])
     except np.linalg.LinAlgError as err:
         raise InvalidCoefficientsError("coefficient matrix is singular") from err
+    if not (np.isfinite(he) and np.isfinite(n2)):
+        raise InvalidParameterError(
+            f"solved densities (he={he:.4g}, n2={n2:.4g}) amg leave the float range")
     if he < 0 or n2 < 0:
         raise UnphysicalCompositionError(
             f"negative density in solution (he={he:.4g}, n2={n2:.4g}) amg",

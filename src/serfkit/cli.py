@@ -38,13 +38,15 @@ DIPOLE_MODEL_NAME = "on_axis_point_dipole_spin_half"
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with the usage code on bad flags.
 
-    Any negative float, e.g. ``-1e-3`` or ``-inf``, is a value, not a flag.
+    Any negative float, e.g. ``-1e-3`` or ``-inf``, is a value, not a flag,
+    and so is a ``first:second`` pair that starts with one, e.g. ``-5:10``.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        number = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)"
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+            rf"^-{number}(:[-+]?{number})?$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -145,7 +147,7 @@ def _cmd_fit_sweep(args) -> int:
     from . import dataio, lineshape
 
     fit = getattr(lineshape, args.fit)(dataio.read_sweep_csv(args.in_path))
-    return _finish(args, fit.as_dict())
+    return _finish(args, dataio._to_json(fit))
 
 
 def _cmd_gas_solve(args) -> int:
@@ -157,7 +159,7 @@ def _cmd_gas_solve(args) -> int:
         raw = dataio.read_json(args.config)
         coeffs = dataio._from_json(GasCoefficients, raw, f"coefficient config {args.config}")
     comp = solve_composition(args.shift_ghz, args.width_ghz, coeffs)
-    return _finish(args, {"he_amagat": comp.he_amagat, "n2_amagat": comp.n2_amagat})
+    return _finish(args, dataio._to_json(comp))
 
 
 def _cmd_fit_serf(args) -> int:
@@ -171,12 +173,8 @@ def _cmd_fit_serf(args) -> int:
         slowing_q=args.slowing_q,
         intrinsic_hwhm_hz=args.intrinsic,
     )
-    result = {
-        "t_se_s": fit.t_se_s,
-        "intrinsic_hwhm_hz": fit.intrinsic_hwhm_hz,
-        "n_cm3": number_density(fit.t_se_s, args.vbar, args.sigma_se),
-    }
-    return _finish(args, result)
+    n_cm3 = number_density(fit.t_se_s, args.vbar, args.sigma_se)
+    return _finish(args, {**dataio._to_json(fit), "n_cm3": n_cm3})
 
 
 def _load_series(path, channel: str) -> tuple[float, np.ndarray]:
@@ -198,6 +196,8 @@ def _cmd_psd(args) -> int:
     from . import dataio
     from .noisepsd import band_floor, calibrate_tesla, welch_asd
 
+    if args.band and not np.isfinite(args.band).all():
+        raise InvalidParameterError("band edges must be finite, got {:g}:{:g}".format(*args.band))
     rate, series = _load_series(args.in_path, args.channel)
     psd = welch_asd(series, rate, args.segment_len, args.overlap)
     result = {"out": os.fspath(args.out), "n_averages": psd.n_averages}
@@ -237,7 +237,7 @@ def _warn_slow_fft_length(n: int) -> None:
 
 def _cmd_calibrate(args) -> int:
     from . import dataio
-    from .gradiometer import GradCalibration, amplitude_ratio, fit_phase_model
+    from .gradiometer import GradCalibration, _check_correction, amplitude_ratio, fit_phase_model
 
     # Every flag is checked before the record is read and its tone gated.
     if not args.phase_points and (args.f1 is None or args.f2 is None):
@@ -254,7 +254,10 @@ def _cmd_calibrate(args) -> int:
     record = dataio.read_record_csv(args.in_path)
     _warn_slow_fft_length(len(record))
     ratio = amplitude_ratio(record, args.tone_freq)
-    return _finish(args, dataclasses.asdict(dataclasses.replace(cal, amplitude_ratio=ratio)))
+    cal = dataclasses.replace(cal, amplitude_ratio=ratio)
+    # Rejected here, so that no phase-corrected subtract rejects what this writes.
+    _check_correction(cal, len(record), record.sample_rate_hz)
+    return _finish(args, dataio._to_json(cal))
 
 
 def _cmd_subtract(args) -> int:
@@ -280,7 +283,7 @@ def _cmd_phase_fit(args) -> int:
     from .gradiometer import fit_phase_model
 
     fit = fit_phase_model(dataio.read_phase_points_csv(args.in_path))
-    return _finish(args, {"f1_hz": fit.f1_hz, "f2_hz": fit.f2_hz})
+    return _finish(args, dataio._to_json(fit))
 
 
 # Defaults of nmr-estimate's sample flags. The flags themselves default to

@@ -162,6 +162,15 @@ def _from_json(cls, raw, what: str):
         raise ConfigError(f"{what}: bad value: {err}") from None
 
 
+def _to_json(result) -> dict:
+    """JSON object of a result dataclass: its fields in order, less ``covariance``.
+
+    Unlike ``dataclasses.asdict``, it deep-copies nothing, the covariance included.
+    """
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+            if f.name != "covariance"}
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -350,7 +359,7 @@ def write_psd_csv(path, psd: PsdEstimate) -> None:
 
 
 def write_calibration_json(path, cal: GradCalibration) -> None:
-    write_json(path, dataclasses.asdict(cal))
+    write_json(path, _to_json(cal))
 
 
 def read_calibration_json(path) -> GradCalibration:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import dataio
 from .cellchem import K_D1_COEFFICIENTS, solve_composition
 from .constants import K_D1_FREQ_HZ
 from .gradiometer import (
@@ -57,13 +58,8 @@ def _absorption_stage(seed: int) -> dict:
     shift_ghz = (fit.center_hz - K_D1_FREQ_HZ) / 1e9
     width_ghz = fit.hwhm_hz / 1e9
     comp = solve_composition(shift_ghz, width_ghz, K_D1_COEFFICIENTS)
-    return {
-        "center_hz": fit.center_hz,
-        "hwhm_ghz": width_ghz,
-        "shift_ghz": shift_ghz,
-        "he_amagat": comp.he_amagat,
-        "n2_amagat": comp.n2_amagat,
-    }
+    return {"center_hz": fit.center_hz, "hwhm_ghz": width_ghz, "shift_ghz": shift_ghz,
+            **dataio._to_json(comp)}
 
 
 def _serf_stage(seed: int) -> dict:
@@ -73,11 +69,7 @@ def _serf_stage(seed: int) -> dict:
     widths = predict_linewidth(res, truth) * (1.0 + rng.normal(0.0, 0.01, len(res)))
     points = [LinewidthPoint(float(f), float(w)) for f, w in zip(res, widths)]
     fit = fit_tse(points)
-    return {
-        "t_se_s": fit.t_se_s,
-        "intrinsic_hwhm_hz": fit.intrinsic_hwhm_hz,
-        "n_cm3": number_density(fit.t_se_s),
-    }
+    return {**dataio._to_json(fit), "n_cm3": number_density(fit.t_se_s)}
 
 
 def _phase_stage(seed: int) -> dict:
@@ -87,12 +79,7 @@ def _phase_stage(seed: int) -> dict:
     phases = phases + rng.normal(0.0, 0.003, len(freqs))
     fit = fit_phase_model([PhasePoint(float(f), float(p)) for f, p in zip(freqs, phases)])
     f_ext, phi_ext = phase_extremum(fit.f1_hz, fit.f2_hz)
-    return {
-        "f1_hz": fit.f1_hz,
-        "f2_hz": fit.f2_hz,
-        "extremum_freq_hz": f_ext,
-        "extremum_phase_rad": phi_ext,
-    }
+    return {**dataio._to_json(fit), "extremum_freq_hz": f_ext, "extremum_phase_rad": phi_ext}
 
 
 def _gradiometer_stage(seed: int, f1_hz: float, f2_hz: float) -> dict:

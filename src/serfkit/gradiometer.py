@@ -231,6 +231,14 @@ def _corrected(bins, cal: GradCalibration, n: int, sample_rate_hz: float, start:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _check_correction(cal: GradCalibration, n: int, sample_rate_hz: float) -> None:
+    """Raise as a phase-corrected ``subtract`` of ``n`` samples would on ``cal``'s correction."""
+    n_bins = n // 2 + 1
+    for start in range(0, n_bins, _BLOCK):
+        _corrected(np.ones(min(_BLOCK, n_bins - start)), cal, n, sample_rate_hz, start)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def subtract(
     record: TwoChannelRecord, cal: GradCalibration, phase_correct: bool = True
 ) -> np.ndarray:

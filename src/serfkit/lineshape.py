@@ -78,15 +78,6 @@ class LorentzianFit:
         if cov.shape != (4, 4):
             raise InvalidParameterError("covariance must be 4x4")
 
-    def as_dict(self) -> dict:
-        return {
-            "center_hz": self.center_hz,
-            "hwhm_hz": self.hwhm_hz,
-            "amplitude": self.amplitude,
-            "baseline": self.baseline,
-            "residual_rms": self.residual_rms,
-        }
-
 
 def eval_lorentzian(center_hz, hwhm_hz, amplitude, baseline, freq_hz):
     """Evaluate ``baseline + amplitude * hwhm^2 / ((f - center)^2 + hwhm^2)``.

@@ -1,5 +1,6 @@
 """Command-line interface tests: dispatch, exit codes, manifests, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import serfkit
-from serfkit import dataio
+from serfkit import cellchem, dataio, lineshape, serf
 from serfkit.cli import (
     EXIT_FIT_FAILURE,
     EXIT_OK,
@@ -20,7 +21,7 @@ from serfkit.cli import (
     _warn_slow_fft_length,
     main,
 )
-from serfkit.gradiometer import phase_difference
+from serfkit.gradiometer import GradCalibration, amplitude_ratio, fit_phase_model, phase_difference
 from serfkit.lineshape import eval_lorentzian
 from serfkit.records import TwoChannelRecord
 
@@ -732,16 +733,16 @@ def test_subtract_non_finite_calibration_exits_2(capsys, tmp_path):
     assert not out.exists()
 
 
+# A subnormal f1 is what "calibrate --f1 1e-320" would write; calibrate itself
+# rejects it (test_calibrate_rejects_what_subtract_would), so it is written here.
 @pytest.mark.parametrize("make_cal", [
     lambda rec, cal: dataio.write_json(cal, {**GOOD_CAL, "tone_freq_hz": 1e200}),
-    lambda rec, cal: main(["calibrate", "--in", str(rec), "--tone-freq", "10", "--f1", "1e-320",
-                           "--f2", "68.8", "--out", str(cal)]),
+    lambda rec, cal: dataio.write_json(cal, {**GOOD_CAL, "f1_hz": 1e-320}),
 ], ids=["huge_tone_in_json", "calibrate_subnormal_f1"])
 def test_subtract_non_finite_model_correction_names_the_calibration(capsys, tmp_path, make_cal):
     rec = _tone_record_csv(tmp_path)
     cal = tmp_path / "cal.json"
-    assert make_cal(rec, cal) in (None, EXIT_OK)
-    capsys.readouterr()
+    make_cal(rec, cal)
     out = tmp_path / "diff.csv"
     code = main(["subtract", "--in", str(rec), "--cal", str(cal), "--out", str(out)])
     assert code == EXIT_VALIDATION
@@ -749,6 +750,22 @@ def test_subtract_non_finite_model_correction_names_the_calibration(capsys, tmp_
     assert err.startswith("error: calibration (f1 ") and err.count("\n") == 1
     assert "non-finite model correction" in err
     assert not out.exists()
+
+
+def test_calibrate_rejects_what_subtract_would(capsys, tmp_path):
+    rec = _tone_record_csv(tmp_path)
+    cal = tmp_path / "cal.json"
+    dataio.write_json(cal, {**GOOD_CAL, "f1_hz": 1e-320})
+    assert main(["subtract", "--in", str(rec), "--cal", str(cal), "--out", str(tmp_path / "d")])
+    subtract_err = capsys.readouterr().err
+    out = tmp_path / "written.json"
+    code = main(["calibrate", "--in", str(rec), "--tone-freq", "10", "--f1", "1e-320",
+                 "--f2", "68.8", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == subtract_err and "non-finite model correction at" in subtract_err
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "written.json.manifest.json").exists()
 
 
 @pytest.mark.parametrize("field", ["tone_freq_hz", "tone_amp_t"])
@@ -1187,3 +1204,137 @@ def test_subtract_rms_of_a_huge_or_tiny_difference_is_finite(tmp_path, amp):
     assert math.isfinite(rms)
     expected = peak * math.sqrt(np.mean((values / peak) ** 2))
     assert rms == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ({"shift_he_ghz_per_amg": math.nan}, "shift_he_ghz_per_amg must be finite, got nan"),
+    ({"shift_n2_ghz_per_amg": math.inf}, "shift_n2_ghz_per_amg must be finite, got inf"),
+    ({"broaden_he_ghz_per_amg": math.inf}, "broaden_he_ghz_per_amg must be finite, got inf"),
+], ids=["nan_shift_he", "inf_shift_n2", "inf_broaden_he"])
+def test_gas_solve_non_finite_coefficient_names_the_field(capsys, tmp_path, coeffs, message):
+    cfg = tmp_path / "coeffs.json"
+    cfg.write_text(json.dumps(coeffs))
+    out = tmp_path / "comp.json"
+    code = main(["gas-solve", "--shift-ghz", "1.916", "--width-ghz", "31.878",
+                 "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: coefficient config {cfg}: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_gas_solve_non_finite_densities_exit_2(capsys, tmp_path):
+    # Broadening this weak puts about 5e309 amg of each gas under a 10 GHz width.
+    cfg = tmp_path / "coeffs.json"
+    cfg.write_text(json.dumps({"broaden_he_ghz_per_amg": 1e-300, "broaden_n2_ghz_per_amg": 1e-300}))
+    out = tmp_path / "comp.json"
+    code = main(["gas-solve", "--shift-ghz", "1", "--width-ghz", "1e10", "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "error: solved densities (he=inf, n2=inf) amg leave the float range\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("band, shown", [
+    ("1:inf", "1:inf"), ("-inf:5", "-inf:5"), ("nan:5", "nan:5"), ("1:-inf", "1:-inf"),
+])
+def test_psd_non_finite_band_edge_exits_2_before_reading_the_record(capsys, tmp_path, band, shown):
+    out = tmp_path / "psd.csv"
+    code = main(["psd", "--in", str(tmp_path / "missing.csv"), "--band", band, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: band edges must be finite, got {shown}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("option, value, code", [
+    ("--band", "-5:10", EXIT_OK),
+    ("--band", "-inf:10", EXIT_VALIDATION),
+    ("--calibrate-tone", "-10:1e-12", EXIT_VALIDATION),
+    ("--calibrate-tone", "-1e+308:-5e-324", EXIT_VALIDATION),
+    ("--calibrate-tone", "-.5:+.5E3", EXIT_VALIDATION),
+])
+def test_pair_with_a_leading_minus_reads_the_same_in_either_spelling(
+        capsys, tmp_path, option, value, code):
+    rec = _tone_record_csv(tmp_path)
+    runs = []
+    for spelling in ([option, value], [f"{option}={value}"]):
+        out = tmp_path / "psd.csv"
+        runs.append((main(["psd", "--in", str(rec), *spelling, "--out", str(out)]),
+                     capsys.readouterr()))
+        out.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+
+
+@pytest.mark.parametrize("argv", [["--band", "-x"], ["-x"], ["--band", "-5:"]])
+def test_flag_like_psd_arguments_stay_usage_errors(capsys, tmp_path, argv):
+    out = tmp_path / "psd.csv"
+    assert main(["psd", "--in", str(tmp_path / "rec.csv"), *argv, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "subtract", "psd"])
+def test_record_with_a_nan_cell_exits_2(capsys, tmp_path, command):
+    rec = _tone_record_csv(tmp_path)
+    lines = rec.read_text().splitlines(keepends=True)
+    t, _, bottom = lines[100].split(",")
+    lines[100] = f"{t},nan,{bottom}"
+    rec.write_text("".join(lines))
+    cal = tmp_path / "cal.json"
+    dataio.write_json(cal, GOOD_CAL)
+    options = {
+        "calibrate": ["--tone-freq", "10", "--f1", "49.9", "--f2", "68.8"],
+        "subtract": ["--cal", str(cal)],
+        "psd": [],
+    }[command]
+    out = tmp_path / "out"
+    code = main([command, "--in", str(rec), *options, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "error: record contains non-finite samples\n"
+    assert captured.out == "" and not out.exists()
+
+
+def _result_case(tmp_path, command):
+    """``command``'s arguments, the result dataclass it reports, and the keys it adds."""
+    path = tmp_path / "in.csv"
+    if command in ("fit-absorption", "fit-response"):
+        freqs = np.linspace(70.0, 170.0, 300)
+        noise = np.random.default_rng(2).normal(0.0, 1e-3, len(freqs))
+        dataio._write_csv(path, ("freq_hz", "value"),
+                          (freqs, eval_lorentzian(120.0, 10.45, 1.0, 0.0, freqs) + noise))
+        fit = {"fit-absorption": lineshape.fit_lorentzian,
+               "fit-response": lineshape.fit_response_curve}[command]
+        return ["--in", str(path)], fit(dataio.read_sweep_csv(path)), {}
+    if command == "fit-serf":
+        res = np.arange(20.0, 201.0, 20.0)
+        widths = (10.45 + 2 * math.pi * 10.0 * 8.6e-6 * res**2) * (1 + 0.01 * np.sin(res))
+        dataio._write_csv(path, ("resonance_hz", "hwhm_hz"), (res, widths))
+        fit = serf.fit_tse(dataio.read_linewidth_points_csv(path))
+        return ["--in", str(path)], fit, {"n_cm3": serf.number_density(fit.t_se_s)}
+    if command == "phase-fit":
+        freqs = np.arange(5.0, 201.0, 5.0)
+        phases = phase_difference(freqs, 49.9, 68.8) + 0.003 * np.cos(freqs)
+        dataio._write_csv(path, ("freq_hz", "phase_rad"), (freqs, phases))
+        return ["--in", str(path)], fit_phase_model(dataio.read_phase_points_csv(path)), {}
+    if command == "gas-solve":
+        comp = cellchem.solve_composition(1.9, 31.9)
+        return ["--shift-ghz", "1.9", "--width-ghz", "31.9"], comp, {}
+    rec = _tone_record_csv(tmp_path)
+    ratio = amplitude_ratio(dataio.read_record_csv(rec), 10.0)
+    return (["--in", str(rec), "--tone-freq", "10", "--tone-amp", "16e-12", "--f1", "49.9",
+             "--f2", "68.8"], GradCalibration(ratio, 49.9, 68.8, 10.0, 16e-12), {})
+
+
+@pytest.mark.parametrize("command", ["fit-absorption", "fit-response", "fit-serf", "phase-fit",
+                                     "gas-solve", "calibrate"])
+def test_result_json_is_the_dataclass_without_its_covariance(capsys, tmp_path, command):
+    argv, result, added = _result_case(tmp_path, command)
+    expected = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+                if f.name != "covariance"}
+    out = tmp_path / "result.json"
+    assert main([command, *argv, "--out", str(out)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {**expected, **added}
+    assert json.loads(out.read_text()) == {**expected, **added}

@@ -118,6 +118,12 @@ MUTANTS = {
         "np.where(mirrored, n - k, k)) - start]",
         "np.where(mirrored, n - k, k))]",
     ),
+    # A result's JSON would lose its last field, e.g. gas-solve's n2_amagat.
+    "result_json_drops_last_field": (
+        "dataio.py",
+        "for f in dataclasses.fields(result)\n",
+        "for f in dataclasses.fields(result)[:-1]\n",
+    ),
     # An even-length median would be its lower middle element, not the mean of both.
     "median_takes_lower_middle": (
         "_median.py",
